@@ -1,7 +1,7 @@
 //! The long-lived experiment executor.
 
 use crate::journal::{CellKey, Journal};
-use crate::plan::{Cell, CircuitSpec, SweepPlan};
+use crate::plan::{Cell, SweepPlan};
 use crate::report::{CacheStats, CellRecord, Report, TierStats};
 use nisq_core::{
     CompileError, CompiledCircuit, Compiler, CompilerConfig, Pipeline, PlacementCache,
@@ -11,7 +11,7 @@ use nisq_machine::{Machine, MachineError, TopologySpec};
 use nisq_sim::{Simulator, SimulatorConfig};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Key of the full-compile cache: circuit, machine and config fingerprints.
@@ -33,8 +33,8 @@ pub struct RunControl {
 }
 
 impl RunControl {
-    /// A control block with no limits (equivalent to [`Session::run`]'s
-    /// behaviour, executed serially).
+    /// A control block with no limits: [`Session::run_controlled`] under it
+    /// behaves exactly like [`Session::run`].
     pub fn unbounded() -> Self {
         RunControl::default()
     }
@@ -79,9 +79,11 @@ pub struct RunOutcome {
 ///   expensive placement pass when only the calibration day changed for a
 ///   calibration-unaware configuration.
 ///
-/// Simulation batches are executed on a rayon pool: cells run in parallel,
-/// each replaying its trials with a deterministic per-cell stream, so
-/// results are independent of thread count and identical to a serial run.
+/// Every runner ([`Session::run`], [`Session::run_controlled`],
+/// [`Session::run_journaled`]) shares one execution path: cells compile
+/// serially in plan order, then simulate on a rayon pool, each replaying
+/// its trials with a deterministic per-cell stream, so results are
+/// independent of thread count and identical to a serial run.
 ///
 /// # Example
 ///
@@ -262,232 +264,133 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns the first compile error; cells already compiled are
-    /// discarded.
+    /// Returns the first compile error, or a typed machine error for a
+    /// degenerate topology; cells already compiled are discarded.
     pub fn run(&mut self, plan: &SweepPlan) -> Result<Report, CompileError> {
-        let before = self.cache_stats();
-        let cells = plan.cells();
-        let trials = plan.trials();
-
-        // Compile phase: serial, so every cell sees the warmest cache.
-        let mut compiled = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            let machine = self.machine(cell.topology, plan.machine_seed(), cell.day);
-            let spec = &plan.circuits()[cell.circuit];
-            let config = &plan.configs()[cell.config].1;
-            let (executable, cache_hit) = self.compile_cached(&machine, config, &spec.circuit)?;
-            compiled.push((machine, executable, cache_hit));
-        }
-
-        // Simulation phase: one worker per cell, each driving the tiered
-        // trial engine over its trials — deterministic for a plan
-        // regardless of thread count. Worker-local engine scratch (state
-        // vectors, checkpoint and event buffers) is reused across the
-        // cells and chunks a worker processes instead of being reallocated
-        // per chunk.
-        let work: Vec<(usize, Arc<Machine>, Arc<CompiledCircuit>)> = cells
-            .iter()
-            .enumerate()
-            .filter(|(_, cell)| trials > 0 && plan.circuits()[cell.circuit].expected.is_some())
-            .map(|(i, _)| (i, compiled[i].0.clone(), compiled[i].1.clone()))
-            .collect();
-        let mut success: Vec<Option<f64>> = vec![None; cells.len()];
-        let mut cell_tiers: Vec<TierStats> = vec![TierStats::default(); cells.len()];
-        let simulate = |machine: &Machine,
-                        executable: &CompiledCircuit,
-                        cell: &Cell,
-                        spec: &CircuitSpec,
-                        threads: usize| {
-            let mut config = SimulatorConfig::with_trials(trials, cell.sim_seed);
-            config.threads = threads;
-            let simulator = Simulator::new(machine, config);
-            let noise = cell.noise.map(|n| &plan.noise_axis()[n].1);
-            let program = simulator.prepare_with_noise(executable.physical_circuit(), noise);
-            let (result, tiers) = simulator.run_program_with_stats(&program);
-            let rate = result.probability_of(spec.expected.as_ref().expect("filtered above"));
-            (rate, TierStats::from(tiers))
-        };
-        if work.len() > 1 {
-            let rates: Vec<(usize, f64, TierStats)> = self.pool.install(|| {
-                work.into_par_iter()
-                    .map(|(i, machine, executable)| {
-                        let cell = &cells[i];
-                        let spec = &plan.circuits()[cell.circuit];
-                        let (rate, tiers) = simulate(&machine, &executable, cell, spec, 1);
-                        (i, rate, tiers)
-                    })
-                    .collect()
-            });
-            for (i, rate, tiers) in rates {
-                success[i] = Some(rate);
-                cell_tiers[i] = tiers;
-            }
-        } else {
-            // A single simulated cell parallelizes over its trials instead.
-            for (i, machine, executable) in work {
-                let cell = &cells[i];
-                let spec = &plan.circuits()[cell.circuit];
-                let (rate, tiers) = simulate(&machine, &executable, cell, spec, self.threads);
-                success[i] = Some(rate);
-                cell_tiers[i] = tiers;
-            }
-        }
-
-        let mut tier_totals = TierStats::default();
-        for tiers in &cell_tiers {
-            tier_totals.merge(tiers);
-        }
-        let records = cells
-            .iter()
-            .zip(compiled.iter())
-            .zip(success.into_iter().zip(cell_tiers))
-            .map(
-                |((cell, (_, executable, cache_hit)), (success_rate, tiers))| {
-                    cell_record(
-                        plan,
-                        cell,
-                        executable,
-                        *cache_hit,
-                        trials,
-                        success_rate,
-                        tiers,
-                    )
-                },
-            )
-            .collect();
-
-        let after = self.cache_stats();
-        Ok(Report {
-            machine_seed: plan.machine_seed(),
-            trials,
-            resumed_cells: 0,
-            journal_hash: 0,
-            cells: records,
-            cache: CacheStats {
-                compile_requests: after.compile_requests - before.compile_requests,
-                compile_hits: after.compile_hits - before.compile_hits,
-                place_hits: after.place_hits - before.place_hits,
-                place_runs: after.place_runs - before.place_runs,
-                journal_hits: 0,
-            },
-            tiers: tier_totals,
-        })
+        self.execute(plan, &RunControl::unbounded(), None)
+            .map(|outcome| outcome.report)
     }
 
-    /// Executes `plan` cell by cell under external controls — the serial
-    /// sibling of [`Session::run`] used by hosting services that need to
-    /// cut a run short.
+    /// Like [`Session::run`], under external controls — the variant
+    /// hosting services use to cut a run short.
     ///
-    /// Cells execute in plan order; before each cell the control block's
-    /// deadline and cell-count cut are checked, and an expired control
-    /// ends the run with the cells finished so far (`completed == false`).
-    /// Per-cell results are identical to [`Session::run`]'s: the
-    /// simulator's trial streams are thread-invariant, so a report
-    /// produced here matches a parallel run of the same plan bit for bit
-    /// (wall-clock fields aside).
-    ///
-    /// Machines are built through [`Session::try_machine`], so a plan
-    /// naming a degenerate topology returns a typed error instead of
-    /// panicking.
+    /// The deadline and cell-count cut are checked in plan order before
+    /// each cell compiles, and the deadline again when each cell starts
+    /// simulating. The report holds the longest plan-order prefix of
+    /// finished cells (`completed == false` when that is not the whole
+    /// plan). Per-cell results do not depend on the control block or the
+    /// thread budget: the simulator's trial streams are thread-invariant,
+    /// so a report produced here matches [`Session::run`] of the same plan
+    /// bit for bit (wall-clock fields aside).
     ///
     /// # Errors
     ///
-    /// Returns the first compile error; cells already executed are
-    /// discarded.
+    /// Returns the first compile error, or a typed machine error for a
+    /// degenerate topology; cells already compiled are discarded.
     pub fn run_controlled(
         &mut self,
         plan: &SweepPlan,
         control: &RunControl,
     ) -> Result<RunOutcome, CompileError> {
-        self.run_serial(plan, control, None)
+        self.execute(plan, control, None)
     }
 
     /// Like [`Session::run_controlled`], but streaming every completed
     /// cell into `journal` and serving cells the journal already holds
     /// without recompiling or resimulating them.
     ///
-    /// Before a cell executes its key is looked up: a hit replays the
+    /// Each cell's key is looked up before it compiles: a hit replays the
     /// journaled record verbatim (counted in `resumed_cells` and the
-    /// cache's `journal_hits`); a miss appends a write-ahead intent,
-    /// executes the cell, then appends and fsyncs the completed record.
-    /// Because journaled records round-trip bit-exactly, a resumed run's
-    /// [`Report::canonicalized`] form is byte-identical to an
-    /// uninterrupted run of the same plan. A journal that degrades
+    /// cache's `journal_hits` when it lands in the reported prefix); a
+    /// miss appends a write-ahead intent when the cell starts executing,
+    /// then appends and fsyncs the completed record as soon as the cell
+    /// finishes. Because journaled records round-trip bit-exactly, a
+    /// resumed run's [`Report::canonicalized`] form is byte-identical to
+    /// an uninterrupted run of the same plan. A journal that degrades
     /// mid-run (disk full) stops persisting but never fails the sweep —
     /// check [`Journal::degraded`] after the run.
     ///
     /// # Errors
     ///
-    /// Returns the first compile error; cells already executed are
-    /// discarded (though still recoverable from the journal).
+    /// Returns the first compile error after journaling every cell that
+    /// precedes it in plan order, so a retry resumes from there.
     pub fn run_journaled(
         &mut self,
         plan: &SweepPlan,
         control: &RunControl,
         journal: &mut Journal,
     ) -> Result<RunOutcome, CompileError> {
-        self.run_serial(plan, control, Some(journal))
+        self.execute(plan, control, Some(journal))
     }
 
-    fn run_serial(
+    /// The one execution path behind [`Session::run`],
+    /// [`Session::run_controlled`] and [`Session::run_journaled`].
+    fn execute(
         &mut self,
         plan: &SweepPlan,
         control: &RunControl,
-        mut journal: Option<&mut Journal>,
+        journal: Option<&mut Journal>,
     ) -> Result<RunOutcome, CompileError> {
         let before = self.cache_stats();
         let cells = plan.cells();
         let cells_total = cells.len();
         let trials = plan.trials();
+        let expired = || control.deadline.is_some_and(|d| Instant::now() >= d);
 
-        let mut records: Vec<CellRecord> = Vec::with_capacity(cells.len());
-        let mut tier_totals = TierStats::default();
-        let mut completed = true;
-        let mut journal_hits = 0u64;
-        for cell in &cells {
-            if let Some(deadline) = control.deadline {
-                if Instant::now() >= deadline {
-                    completed = false;
+        // Phase 1, in plan order and serial, so every cell sees the
+        // warmest cache: apply the cuts, build the machine, replay journal
+        // hits and compile the rest.
+        let mut finished: Vec<Option<CellRecord>> = Vec::with_capacity(cells_total);
+        let mut replayed: Vec<bool> = Vec::with_capacity(cells_total);
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut error = None;
+        for (index, cell) in cells.iter().enumerate() {
+            if expired() || control.stop_after_cells.is_some_and(|n| index >= n) {
+                break;
+            }
+            match self.prepare(plan, index, cell, journal.as_deref()) {
+                Ok(Prepared::Replayed(record)) => {
+                    finished.push(Some(record));
+                    replayed.push(true);
+                }
+                Ok(Prepared::Compiled(job)) => {
+                    jobs.push(job);
+                    finished.push(None);
+                    replayed.push(false);
+                }
+                // Cells before the failing one are only worth finishing
+                // when a journal keeps them for the retry.
+                Err(e) if journal.is_none() => return Err(e),
+                Err(e) => {
+                    error = Some(e);
                     break;
                 }
             }
-            if let Some(limit) = control.stop_after_cells {
-                if records.len() >= limit {
-                    completed = false;
-                    break;
-                }
-            }
-            let machine = self.try_machine(cell.topology, plan.machine_seed(), cell.day)?;
-            let spec = &plan.circuits()[cell.circuit];
-            let config = &plan.configs()[cell.config].1;
-            let key = journal.as_ref().map(|_| CellKey {
-                circuit_fp: spec.circuit.fingerprint(),
-                machine_fp: machine.fingerprint(),
-                config_fp: config.fingerprint(),
-                day: cell.day,
-                noise: cell.noise.map(|n| plan.noise_axis()[n].0.clone()),
-                sim_seed: cell.sim_seed,
-                trials,
-            });
-            if let (Some(journal), Some(key)) = (journal.as_deref_mut(), key.as_ref()) {
-                if let Some(hit) = journal.lookup(key) {
-                    journal_hits += 1;
-                    tier_totals.merge(&hit.tiers);
-                    records.push(hit.clone());
-                    continue;
-                }
-                journal.append_intent(key);
-            }
-            let (executable, cache_hit) = self.compile_cached(&machine, config, &spec.circuit)?;
+        }
 
-            let (success_rate, tiers) = match &spec.expected {
+        // Phase 2: simulate across the pool, one cell per worker — or
+        // across trials when only one cell simulates. Worker-local engine
+        // scratch (state vectors, checkpoint and event buffers) is reused
+        // across the cells a worker processes.
+        let journal_hash = journal.as_ref().map_or(0, |j| j.path_hash());
+        let journal = journal.map(Mutex::new);
+        let finish = |job: &Job, threads: usize| -> Option<CellRecord> {
+            if expired() {
+                return None;
+            }
+            let journaled = journal.as_ref().zip(job.key.as_ref());
+            if let Some((journal, key)) = journaled {
+                lock(journal).append_intent(key);
+            }
+            let cell = &cells[job.index];
+            let (success_rate, tiers) = match &plan.circuits()[cell.circuit].expected {
                 Some(expected) if trials > 0 => {
-                    let mut sim_config = SimulatorConfig::with_trials(trials, cell.sim_seed);
-                    sim_config.threads = self.threads;
-                    let simulator = Simulator::new(&machine, sim_config);
+                    let mut config = SimulatorConfig::with_trials(trials, cell.sim_seed);
+                    config.threads = threads;
+                    let simulator = Simulator::new(&job.machine, config);
                     let noise = cell.noise.map(|n| &plan.noise_axis()[n].1);
                     let program =
-                        simulator.prepare_with_noise(executable.physical_circuit(), noise);
+                        simulator.prepare_with_noise(job.executable.physical_circuit(), noise);
                     let (result, counts) = simulator.run_program_with_stats(&program);
                     (
                         Some(result.probability_of(expected)),
@@ -496,29 +399,60 @@ impl Session {
                 }
                 _ => (None, TierStats::default()),
             };
-            tier_totals.merge(&tiers);
             let record = cell_record(
                 plan,
                 cell,
-                &executable,
-                cache_hit,
+                &job.executable,
+                job.cache_hit,
                 trials,
                 success_rate,
                 tiers,
             );
-            if let (Some(journal), Some(key)) = (journal.as_deref_mut(), key.as_ref()) {
-                journal.append_cell(key, &record);
+            if let Some((journal, key)) = journaled {
+                lock(journal).append_cell(key, &record);
             }
-            records.push(record);
+            Some(record)
+        };
+        let simulating = jobs
+            .iter()
+            .filter(|job| {
+                trials > 0 && plan.circuits()[cells[job.index].circuit].expected.is_some()
+            })
+            .count();
+        let results: Vec<(usize, Option<CellRecord>)> = if simulating > 1 {
+            self.pool.install(|| {
+                jobs.into_par_iter()
+                    .map(|job| (job.index, finish(&job, 1)))
+                    .collect()
+            })
+        } else {
+            jobs.iter()
+                .map(|job| (job.index, finish(job, self.threads)))
+                .collect()
+        };
+        for (index, record) in results {
+            finished[index] = record;
+        }
+        if let Some(e) = error {
+            return Err(e);
         }
 
+        // The report is the longest plan-order prefix of finished cells.
+        let records: Vec<CellRecord> = finished.into_iter().map_while(|r| r).collect();
+        let journal_hits = replayed[..records.len()].iter().filter(|&&r| r).count() as u64;
+        let mut tier_totals = TierStats::default();
+        for record in &records {
+            tier_totals.merge(&record.tiers);
+        }
         let after = self.cache_stats();
         Ok(RunOutcome {
+            completed: records.len() == cells_total,
+            cells_total,
             report: Report {
                 machine_seed: plan.machine_seed(),
                 trials,
                 resumed_cells: journal_hits,
-                journal_hash: journal.as_ref().map_or(0, |j| j.path_hash()),
+                journal_hash,
                 cells: records,
                 cache: CacheStats {
                     compile_requests: after.compile_requests - before.compile_requests,
@@ -529,14 +463,69 @@ impl Session {
                 },
                 tiers: tier_totals,
             },
-            completed,
-            cells_total,
         })
+    }
+
+    /// Phase 1 for one cell: its machine, then a journal hit or a compile.
+    fn prepare(
+        &mut self,
+        plan: &SweepPlan,
+        index: usize,
+        cell: &Cell,
+        journal: Option<&Journal>,
+    ) -> Result<Prepared, CompileError> {
+        let machine = self.try_machine(cell.topology, plan.machine_seed(), cell.day)?;
+        let spec = &plan.circuits()[cell.circuit];
+        let config = &plan.configs()[cell.config].1;
+        let key = journal.map(|_| CellKey {
+            circuit_fp: spec.circuit.fingerprint(),
+            machine_fp: machine.fingerprint(),
+            config_fp: config.fingerprint(),
+            day: cell.day,
+            noise: cell.noise.map(|n| plan.noise_axis()[n].0.clone()),
+            sim_seed: cell.sim_seed,
+            trials: plan.trials(),
+        });
+        if let (Some(journal), Some(key)) = (journal, &key) {
+            if let Some(hit) = journal.lookup(key) {
+                return Ok(Prepared::Replayed(hit.clone()));
+            }
+        }
+        let (executable, cache_hit) = self.compile_cached(&machine, config, &spec.circuit)?;
+        Ok(Prepared::Compiled(Job {
+            index,
+            machine,
+            executable,
+            cache_hit,
+            key,
+        }))
     }
 }
 
-/// Builds the report record for one executed cell — shared by the parallel
-/// and the controlled execution paths so both emit identical records.
+/// A cell after phase 1.
+enum Prepared {
+    /// Replayed verbatim from the journal.
+    Replayed(CellRecord),
+    /// Compiled; simulating and journaling it is left to phase 2.
+    Compiled(Job),
+}
+
+/// A compiled cell waiting for phase 2.
+struct Job {
+    /// Position of the cell in plan order.
+    index: usize,
+    machine: Arc<Machine>,
+    executable: Arc<CompiledCircuit>,
+    cache_hit: bool,
+    /// The cell's journal key; `Some` exactly when the run is journaled.
+    key: Option<CellKey>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Builds the report record for one executed cell.
 fn cell_record(
     plan: &SweepPlan,
     cell: &Cell,
@@ -678,17 +667,22 @@ mod tests {
             .config("GreedyE*", CompilerConfig::greedy_e())
             .days([0, 1])
             .with_trials(64);
-        let parallel = Session::new().run(&plan).unwrap();
-        let outcome = Session::new()
-            .run_controlled(&plan, &RunControl::unbounded())
-            .unwrap();
-        assert!(outcome.completed);
-        assert_eq!(outcome.cells_total, parallel.cells.len());
-        assert_eq!(
-            outcome.report.canonicalized(),
-            parallel.canonicalized(),
-            "controlled and parallel runs must agree on everything observable"
-        );
+        let reference = Session::new().with_threads(1).run(&plan).unwrap();
+        for threads in [1, 4] {
+            let run = Session::new().with_threads(threads).run(&plan).unwrap();
+            assert_eq!(run.canonicalized(), reference.canonicalized());
+            let outcome = Session::new()
+                .with_threads(threads)
+                .run_controlled(&plan, &RunControl::unbounded())
+                .unwrap();
+            assert!(outcome.completed);
+            assert_eq!(outcome.cells_total, reference.cells.len());
+            assert_eq!(
+                outcome.report.canonicalized(),
+                reference.canonicalized(),
+                "controlled and plain runs must agree on everything observable"
+            );
+        }
     }
 
     #[test]

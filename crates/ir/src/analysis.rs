@@ -1,11 +1,10 @@
 use crate::circuit::Circuit;
 use crate::gate::GateKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Static statistics of a circuit: the quantities the paper's Table 2
 /// reports plus a few more the compiler uses for cost estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitStats {
     /// Number of program qubits.
     pub num_qubits: usize,

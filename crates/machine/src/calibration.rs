@@ -1,11 +1,10 @@
 use crate::error::MachineError;
 use crate::topology::{HwQubit, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of an undirected hardware edge (nearest-neighbour qubit pair),
 /// stored with the smaller index first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize, pub usize);
 
 impl EdgeId {
@@ -25,7 +24,7 @@ impl EdgeId {
 }
 
 /// Gate durations in hardware timeslots (80 ns on IBMQ16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateDurations {
     /// Duration of every single-qubit gate, in timeslots.
     pub single_qubit_slots: u32,
@@ -79,7 +78,7 @@ pub struct EdgeParams {
 ///
 /// All error quantities are stored as *error rates* in `[0, 1)`;
 /// reliabilities are `1 - error`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Day index (0-based) this snapshot corresponds to.
     pub day: usize,

@@ -1,9 +1,8 @@
 use crate::error::MachineError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a *hardware* qubit (a physical location on the device).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HwQubit(pub usize);
 
 impl fmt::Display for HwQubit {
@@ -37,7 +36,7 @@ impl From<usize> for HwQubit {
 /// assert!(!t.adjacent(HwQubit(0), HwQubit(2)));
 /// assert_eq!(t.distance(HwQubit(0), HwQubit(15)), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridTopology {
     mx: usize,
     my: usize,
@@ -288,7 +287,7 @@ impl fmt::Display for GridTopology {
 /// assert_eq!(ring.edges().len(), 12);
 /// assert!(ring.as_grid().is_none(), "rings have no 2-D grid layout");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum TopologySpec {
     /// The 16-qubit IBMQ16 Rueschlikon device (an 8x2 grid), the machine
@@ -441,7 +440,7 @@ impl fmt::Display for TopologySpec {
 /// assert!(hex.as_grid().is_none());
 /// assert!(hex.num_qubits() > 10, "chains plus bridge qubits");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     spec: TopologySpec,
     n: usize,

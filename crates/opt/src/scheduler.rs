@@ -4,12 +4,11 @@ use crate::routing::{
 };
 use nisq_ir::{Circuit, GateKind, Qubit};
 use nisq_machine::{HwQubit, Machine};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An injective assignment of program qubits to hardware qubits
 /// (Constraints 1-2 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     map: Vec<HwQubit>,
 }
@@ -107,7 +106,7 @@ impl Default for SchedulerConfig {
 
 /// One gate with its assigned start time, duration, resolved hardware
 /// operands and (for two-qubit gates) route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledGate {
     /// Index of the gate in the input circuit.
     pub gate_index: usize,
@@ -133,7 +132,7 @@ impl ScheduledGate {
 
 /// The output of the scheduler: start times for every gate, the overall
 /// makespan, the routes chosen for CNOTs and any coherence violations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Scheduled gates, in the order they were issued.
     pub gates: Vec<ScheduledGate>,

@@ -612,15 +612,21 @@ fn send_reply(shared: &Shared, reply: &SyncSender<String>, line: String) {
 
 /// The per-connection writer: drains the response channel onto the
 /// socket. Exits when every sender is gone or the socket dies.
-fn write_loop(mut stream: Box<dyn Conn>, responses: &Receiver<String>) {
+pub(crate) fn write_loop(mut stream: Box<dyn Conn>, responses: &Receiver<String>) {
     while let Ok(line) = responses.recv() {
-        if stream.write_all(line.as_bytes()).is_err()
-            || stream.write_all(b"\n").is_err()
-            || stream.flush().is_err()
-        {
+        if write_line(&mut stream, &line).is_err() {
             break;
         }
     }
+}
+
+/// Sends `line` and its newline in a single write, then flushes. Written
+/// separately, the newline would wait behind Nagle's algorithm for the
+/// peer's delayed ACK and stall every TCP round trip by tens of
+/// milliseconds.
+pub(crate) fn write_line(stream: &mut impl Write, line: &str) -> io::Result<()> {
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    stream.flush()
 }
 
 /// The per-connection reader: frames lines (bounded), parses, admits, and

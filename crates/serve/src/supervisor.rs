@@ -33,7 +33,8 @@ use crate::error::ServeError;
 use crate::request::{self, Budgets, Op};
 use crate::response;
 use crate::server::{
-    bind_listener, retry_jitter_ms, shutting_down_error, Conn, Endpoint, Listener, ServerConfig,
+    bind_listener, retry_jitter_ms, shutting_down_error, write_loop, Conn, Endpoint, Listener,
+    ServerConfig,
 };
 use crate::signal;
 use crate::worker::{WorkerHandle, WorkerSpec};
@@ -42,7 +43,7 @@ use std::io::{self, Read};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -425,18 +426,6 @@ fn handle_connection(stream: Box<dyn Conn>, shared: &SupShared, client: u64) {
 
     drop(reply);
     let _ = writer.join();
-}
-
-fn write_loop(mut stream: Box<dyn Conn>, responses: &Receiver<String>) {
-    use std::io::Write;
-    while let Ok(line) = responses.recv() {
-        if stream.write_all(line.as_bytes()).is_err()
-            || stream.write_all(b"\n").is_err()
-            || stream.flush().is_err()
-        {
-            break;
-        }
-    }
 }
 
 fn read_requests(

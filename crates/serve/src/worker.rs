@@ -17,7 +17,8 @@
 //! Connections are opened lazily and dropped on any I/O error, so a
 //! restarted worker is re-dialed transparently on the next use.
 
-use std::io::{self, Read, Write};
+use crate::server::write_line;
+use std::io::{self, Read};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -231,9 +232,7 @@ impl WorkerHandle {
 /// Writes one line and reads one line back, polling the stream's short
 /// read timeout until `deadline`.
 fn exchange(stream: &mut UnixStream, line: &str, deadline: Instant) -> io::Result<String> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
+    write_line(stream, line)?;
     let mut buffer: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {

@@ -7,7 +7,7 @@ use nisq_exp::{Report, Session, SweepPlan};
 use nisq_serve::{Endpoint, Server, ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> (ServerHandle, SocketAddr) {
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), config).unwrap();
@@ -32,9 +32,12 @@ impl Client {
         }
     }
 
+    /// Sends one request line in a single write, so the client side adds
+    /// no Nagle/delayed-ACK stall of its own.
     fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).unwrap();
-        self.stream.write_all(b"\n").unwrap();
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
         self.stream.flush().unwrap();
     }
 
@@ -87,6 +90,30 @@ fn control_ops_roundtrip_and_shutdown_drains() {
 
     let bye = client.roundtrip(r#"{"op": "shutdown", "id": "s1"}"#);
     assert_eq!(status(&bye), "ok");
+    handle.join().unwrap();
+}
+
+#[test]
+fn tcp_round_trips_do_not_stall_on_a_split_reply() {
+    // A reply written as the line and then its newline leaves the newline
+    // behind Nagle's algorithm until the client's delayed ACK, ~40 ms.
+    let (handle, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(addr);
+    let mut pings: Vec<Duration> = (0..20)
+        .map(|i| {
+            let started = Instant::now();
+            let pong = client.roundtrip(&format!(r#"{{"op": "ping", "id": "p{i}"}}"#));
+            assert_eq!(status(&pong), "ok");
+            started.elapsed()
+        })
+        .collect();
+    pings.sort();
+    let median = pings[pings.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median ping {median:?} over {pings:?}"
+    );
+    handle.shutdown();
     handle.join().unwrap();
 }
 

@@ -11,6 +11,7 @@
 //!        nisqc sweep [sweep options]
 //!        nisqc sweep --validate report.json [--expect-cells N]
 //!        nisqc serve [serve options]
+//!        nisqc journal inspect|compact <path>
 //!
 //! Options:
 //!   --mapper <name>    qiskit | t-smt | t-smt-star | r-smt-star |
@@ -22,57 +23,8 @@
 //!   --expected <bits>  correct answer, e.g. 1101, for success-rate reporting
 //!   --output <path>    write the compiled OpenQASM here
 //!
-//! Sweep options (execute a declarative plan, emit a JSON report):
-//!   --benchmarks <l>   comma list of Table-2 names, "all", "representative"
-//!                      or "none" (with --qasm)          (default: representative)
-//!   --qasm <path>      add a custom OpenQASM circuit to the plan (repeatable)
-//!   --mappers <l>      comma list of mapper names or "table1"
-//!                                                       (default: r-smt-star)
-//!   --omega <w>        readout weight for r-smt-star    (default: 0.5)
-//!   --days <l>         comma list and/or a..b ranges    (default: 0)
-//!   --topology <t>     ibmq16 | grid-MxN | ring-N | heavy-hex-RxC
-//!                                                       (default: ibmq16)
-//!   --trials <n>       noisy trials per cell            (default: 0 = compile only)
-//!   --noise <path>     add a JSON noise spec as a sweep-axis point
-//!                      (repeatable; cells multiply)     (default: calibration noise only)
-//!   --machine-seed <s> machine calibration seed         (default: 2019)
-//!   --sim-seed <s>     fixed simulation seed            (default: per-cell seeds)
-//!   --journal <path>   stream finished cells to a fresh crash-safe journal
-//!   --resume <path>    resume from an existing journal: completed cells load
-//!                      without recomputation, new cells keep appending
-//!   --reuse <path>     absorb completed cells from another run's journal into
-//!                      this run's journal (requires --journal or --resume);
-//!                      matching is purely by cell fingerprint
-//!   --canonicalize <p> print a report's canonical single-line JSON
-//!                      (runtime provenance zeroed) for byte-wise comparison
-//!   --output <path>    write the JSON report here       (default: stdout)
-//!   --validate <path>  parse an emitted report instead of running a sweep
-//!   --expect-cells <n> require exactly n cells (after a sweep or --validate)
-//!
-//! Serve options (run the persistent compile-and-simulate daemon):
-//!   --listen <addr>    TCP listen address               (default: 127.0.0.1:7878)
-//!   --unix <path>      listen on a Unix socket instead of TCP
-//!   --queue <n>        per-client work-queue capacity   (default: 32)
-//!   --timeout-ms <n>   per-request wall-clock budget    (default: 30000)
-//!   --max-cells <n>    largest plan a request may send  (default: 4096)
-//!   --max-trials <n>   largest per-cell trial count     (default: 65536)
-//!   --max-qubits <n>   largest machine a request builds (default: 256)
-//!   --threads <n>      session worker threads           (default: auto)
-//!   --journal-dir <d>  accept journaled requests; per-request journals are
-//!                      kept here, keyed by the request's resume_key
-//!   --workers <n>      run n process-isolated worker shards behind a
-//!                      supervisor (0 = single-process)   (default: 0)
-//!   --runtime-dir <d>  directory for the shards' private Unix sockets
-//!                      (default: a per-process tmp dir)
-//!   --compact-threshold <n>  auto-compact a request's journal once it holds
-//!                      n dead records (0 = never)        (default: 64)
-//!
-//! Journal maintenance (inspect and compact sweep journals):
-//!   nisqc journal inspect <path>   summarize a journal: schema, record and
-//!                      cell counts, orphan intents, dead records, torn tail.
-//!                      Exits nonzero for corrupt or torn journals.
-//!   nisqc journal compact <path>   rewrite the journal keeping only the
-//!                      last write per cell (atomic tmp + rename)
+//! Each subcommand prints its own options with `--help`:
+//! `nisqc sweep --help`, `nisqc serve --help`, `nisqc journal --help`.
 //! ```
 
 use nisq::exp::names::{config_for, parse_benchmarks, parse_days, parse_mappers, parse_topology};
@@ -81,6 +33,78 @@ use nisq::serve::{Endpoint, Server, ServerConfig, Supervisor, SupervisorConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
+
+const SWEEP_USAGE: &str = "\
+usage: nisqc sweep [options]
+       nisqc sweep --validate report.json [--expect-cells N]
+
+Executes a declarative plan and emits a JSON report.
+
+Options:
+  --benchmarks <l>   comma list of Table-2 names, \"all\", \"representative\"
+                     or \"none\" (with --qasm)          (default: representative)
+  --qasm <path>      add a custom OpenQASM circuit to the plan (repeatable)
+  --mappers <l>      comma list of mapper names or \"table1\"
+                                                      (default: r-smt-star)
+  --omega <w>        readout weight for r-smt-star    (default: 0.5)
+  --days <l>         comma list and/or a..b ranges    (default: 0)
+  --topology <t>     ibmq16 | grid-MxN | ring-N | heavy-hex-RxC
+                                                      (default: ibmq16)
+  --trials <n>       noisy trials per cell            (default: 0 = compile only)
+  --noise <path>     add a JSON noise spec as a sweep-axis point
+                     (repeatable; cells multiply)     (default: calibration noise only)
+  --machine-seed <s> machine calibration seed         (default: 2019)
+  --sim-seed <s>     fixed simulation seed            (default: per-cell seeds)
+  --journal <path>   stream finished cells to a fresh crash-safe journal
+  --resume <path>    resume from an existing journal: completed cells load
+                     without recomputation, new cells keep appending
+  --reuse <path>     absorb completed cells from another run's journal into
+                     this run's journal (requires --journal or --resume);
+                     matching is purely by cell fingerprint
+  --canonicalize <p> print a report's canonical single-line JSON
+                     (runtime provenance zeroed) for byte-wise comparison
+  --output <path>    write the JSON report here       (default: stdout)
+  --validate <path>  parse an emitted report instead of running a sweep
+  --expect-cells <n> require exactly n cells (after a sweep or --validate)
+";
+
+const SERVE_USAGE: &str = "\
+usage: nisqc serve [options]
+
+Runs the persistent compile-and-simulate daemon.
+
+Options:
+  --listen <addr>    TCP listen address               (default: 127.0.0.1:7878)
+  --unix <path>      listen on a Unix socket instead of TCP
+  --queue <n>        per-client work-queue capacity   (default: 32)
+  --timeout-ms <n>   per-request wall-clock budget    (default: 30000)
+  --max-cells <n>    largest plan a request may send  (default: 4096)
+  --max-trials <n>   largest per-cell trial count     (default: 65536)
+  --max-qubits <n>   largest machine a request builds (default: 256)
+  --threads <n>      session worker threads           (default: auto)
+  --journal-dir <d>  accept journaled requests; per-request journals are
+                     kept here, keyed by the request's resume_key
+  --workers <n>      run n process-isolated worker shards behind a
+                     supervisor (0 = single-process)   (default: 0)
+  --runtime-dir <d>  directory for the shards' private Unix sockets
+                     (default: a per-process tmp dir)
+  --compact-threshold <n>  auto-compact a request's journal once it holds
+                     n dead records (0 = never)        (default: 64)
+";
+
+const JOURNAL_USAGE: &str = "\
+usage: nisqc journal inspect <path>
+       nisqc journal compact <path>
+
+Inspects and compacts sweep journals.
+
+Verbs:
+  inspect <path>     summarize a journal: schema, record and cell counts,
+                     orphan intents, dead records, torn tail. Exits nonzero
+                     for corrupt or torn journals.
+  compact <path>     rewrite the journal keeping only the last write per
+                     cell (atomic tmp + rename)
+";
 
 struct Options {
     input: Input,
@@ -324,7 +348,11 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             "--journal" => journal_new = Some(take_value(&mut i)?),
             "--resume" => journal_resume = Some(take_value(&mut i)?),
             "--reuse" => journal_reuse = Some(take_value(&mut i)?),
-            other => return Err(format!("unknown sweep option {other}\n{}", usage())),
+            "--help" | "-h" => {
+                print!("{SWEEP_USAGE}");
+                return Ok(());
+            }
+            other => return Err(format!("unknown sweep option {other}\n{SWEEP_USAGE}")),
         }
         i += 1;
     }
@@ -554,7 +582,11 @@ fn run_serve(args: &[String]) -> Result<(), String> {
                 config.journal_compact_threshold =
                     parse(take_value(&mut i)?, "compact-threshold")? as usize
             }
-            other => return Err(format!("unknown serve option {other}\n{}", usage())),
+            "--help" | "-h" => {
+                print!("{SERVE_USAGE}");
+                return Ok(());
+            }
+            other => return Err(format!("unknown serve option {other}\n{SERVE_USAGE}")),
         }
         i += 1;
     }
@@ -643,10 +675,13 @@ fn run_supervised(
 /// Runs the `journal` subcommand: read-only inspection or last-write-wins
 /// compaction of a sweep journal.
 fn run_journal(args: &[String]) -> Result<(), String> {
-    let journal_usage = "usage: nisqc journal inspect <path>\n       nisqc journal compact <path>";
-    let (verb, path) = match (args.first(), args.get(1)) {
-        (Some(verb), Some(path)) if args.len() == 2 => (verb.as_str(), path.as_str()),
-        _ => return Err(journal_usage.to_string()),
+    let (verb, path) = match (args.first().map(String::as_str), args.get(1)) {
+        (Some("--help" | "-h"), _) => {
+            print!("{JOURNAL_USAGE}");
+            return Ok(());
+        }
+        (Some(verb), Some(path)) if args.len() == 2 => (verb, path.as_str()),
+        _ => return Err(JOURNAL_USAGE.to_string()),
     };
     match verb {
         "inspect" => {
@@ -694,7 +729,7 @@ fn run_journal(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        other => Err(format!("unknown journal verb {other:?}\n{journal_usage}")),
+        other => Err(format!("unknown journal verb {other:?}\n{JOURNAL_USAGE}")),
     }
 }
 
@@ -966,6 +1001,28 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("invalid noise spec"), "{err}");
         assert!(run_sweep(&args(&["--noise", "/nonexistent/n.json"])).is_err());
+    }
+
+    #[test]
+    fn every_verb_answers_help_with_its_own_usage() {
+        type Verb = fn(&[String]) -> Result<(), String>;
+        let verbs: [(Verb, &str); 3] = [
+            (run_sweep, SWEEP_USAGE),
+            (run_serve, SERVE_USAGE),
+            (run_journal, JOURNAL_USAGE),
+        ];
+        for (run, verb_usage) in verbs {
+            assert_eq!(run(&args(&["--help"])), Ok(()), "{verb_usage}");
+            assert_eq!(run(&args(&["-h"])), Ok(()), "{verb_usage}");
+            // A bad invocation answers with the usage of the verb called,
+            // not the single-circuit compile usage.
+            let err = run(&args(&["--frobnicate", "x", "y"])).unwrap_err();
+            assert!(err.contains(verb_usage), "{err}");
+            assert!(!err.contains(&usage()), "{err}");
+        }
+        assert!(SWEEP_USAGE.contains("--journal <path>"));
+        assert!(SERVE_USAGE.contains("--workers <n>"));
+        assert!(JOURNAL_USAGE.contains("nisqc journal compact <path>"));
     }
 
     #[test]

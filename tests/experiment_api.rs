@@ -205,3 +205,15 @@ fn session_sweep_matches_direct_compile_and_simulate() {
     let report = Session::new().run(&plan).unwrap();
     assert_eq!(report.require("Peres", "R-SMT*", 0).success(), direct);
 }
+
+#[test]
+fn run_reports_a_degenerate_topology_as_a_typed_error() {
+    let plan = SweepPlan::new()
+        .benchmark(Benchmark::Bv4)
+        .topology(TopologySpec::Ring { n: 2 })
+        .config("GreedyE*", CompilerConfig::greedy_e());
+    assert!(matches!(
+        Session::new().run(&plan),
+        Err(nisq::compiler::CompileError::Machine(_))
+    ));
+}

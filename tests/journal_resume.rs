@@ -8,6 +8,7 @@
 //! checksum corruption, duplicates, foreign plans, files that are not
 //! journals at all — and disk-full degradation mid-sweep.
 
+use nisq::compiler::CompileError;
 use nisq::exp::{fnv64, Journal, JournalError};
 use nisq::prelude::*;
 use std::fs;
@@ -237,9 +238,11 @@ fn disk_full_mid_sweep_degrades_without_losing_the_report() {
     let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
     // Allow header + intent + cell + the second cell's intent, then fail:
     // the second cell's completion is lost, journaling stops, the sweep
-    // does not.
+    // does not. One thread keeps one cell in flight, so the counts below
+    // are exact.
     journal.fail_appends_after(4);
     let outcome = Session::new()
+        .with_threads(1)
         .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
         .unwrap();
     assert!(outcome.completed);
@@ -255,10 +258,111 @@ fn disk_full_mid_sweep_degrades_without_losing_the_report() {
     assert_eq!(journal.recovery().orphan_intents, 1);
     assert_eq!(journal.recovery().truncated_bytes, 0);
     let resumed = Session::new()
+        .with_threads(1)
         .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
         .unwrap();
     assert_eq!(resumed.report.resumed_cells, 1);
     assert_eq!(resumed.report.to_json_line_canonical(), reference);
+}
+
+#[test]
+fn disk_full_mid_parallel_sweep_keeps_a_consistent_journal() {
+    let plan = plan();
+    let reference = reference_canonical(&plan);
+    let path = temp_path("degraded-parallel.journal");
+    let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+    journal.fail_appends_after(4);
+    let outcome = Session::new()
+        .with_threads(4)
+        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .unwrap();
+    assert!(outcome.completed);
+    assert!(journal.degraded().unwrap().contains("no space left"));
+    assert_eq!(outcome.report.to_json_line_canonical(), reference);
+    drop(journal);
+
+    // Several cells were in flight when appends failed, so which records
+    // landed depends on scheduling. Whatever did is the header plus three
+    // records, each a completed cell, its intent or an orphan intent.
+    assert_eq!(Journal::inspect(&path).unwrap().records, 4);
+    let mut journal = Journal::resume(&path, plan.machine_seed(), plan.trials()).unwrap();
+    let completed = journal.completed_cells();
+    assert_eq!(2 * completed + journal.recovery().orphan_intents, 3);
+    assert_eq!(journal.recovery().truncated_bytes, 0);
+    let resumed = Session::new()
+        .with_threads(4)
+        .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+        .unwrap();
+    assert_eq!(resumed.report.resumed_cells, completed as u64);
+    assert_eq!(resumed.report.to_json_line_canonical(), reference);
+}
+
+#[test]
+fn journaled_runs_are_thread_invariant() {
+    let plan = plan();
+    let reference = reference_canonical(&plan);
+    for threads in [1usize, 4] {
+        let run = Session::new().with_threads(threads).run(&plan).unwrap();
+        assert_eq!(run.to_json_line_canonical(), reference, "{threads} threads");
+
+        let path = temp_path(&format!("threads-{threads}.journal"));
+        let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let full = Session::new()
+            .with_threads(threads)
+            .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+            .unwrap();
+        assert_eq!(full.report.to_json_line_canonical(), reference);
+
+        // A cut after three cells reports exactly those three and
+        // journals exactly three completed cells.
+        let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let control = RunControl::unbounded().with_stop_after_cells(3);
+        let cut = Session::new()
+            .with_threads(threads)
+            .run_journaled(&plan, &control, &mut journal)
+            .unwrap();
+        assert!(!cut.completed);
+        assert_eq!(cut.report.cells.len(), 3);
+        assert_eq!(journal.completed_cells(), 3);
+        drop(journal);
+        assert_eq!(Journal::inspect(&path).unwrap().cell_records, 3);
+
+        let mut journal = Journal::resume(&path, plan.machine_seed(), plan.trials()).unwrap();
+        let resumed = Session::new()
+            .with_threads(threads)
+            .run_journaled(&plan, &RunControl::unbounded(), &mut journal)
+            .unwrap();
+        assert_eq!(resumed.report.resumed_cells, 3);
+        assert_eq!(resumed.report.to_json_line_canonical(), reference);
+    }
+}
+
+#[test]
+fn compile_error_still_journals_the_cells_before_it() {
+    // The ring-2 cells come after every IBMQ16 cell in plan order, and
+    // building a ring-2 machine fails.
+    let plan = plan().topologies([TopologySpec::Ibmq16, TopologySpec::Ring { n: 2 }]);
+    let path = temp_path("compile-error.journal");
+    let mut journal = Journal::create(&path, plan.machine_seed(), plan.trials()).unwrap();
+    let result =
+        Session::new()
+            .with_threads(4)
+            .run_journaled(&plan, &RunControl::unbounded(), &mut journal);
+    assert!(matches!(result, Err(CompileError::Machine(_))));
+    assert_eq!(journal.completed_cells(), 8);
+    drop(journal);
+
+    // A retry of the valid part replays every one of them.
+    let valid = plan.topologies([TopologySpec::Ibmq16]);
+    let mut journal = Journal::resume(&path, valid.machine_seed(), valid.trials()).unwrap();
+    let resumed = Session::new()
+        .run_journaled(&valid, &RunControl::unbounded(), &mut journal)
+        .unwrap();
+    assert_eq!(resumed.report.resumed_cells, 8);
+    assert_eq!(
+        resumed.report.to_json_line_canonical(),
+        reference_canonical(&valid)
+    );
 }
 
 #[test]
