@@ -275,13 +275,16 @@ impl Session {
     /// hosting services use to cut a run short.
     ///
     /// The deadline and cell-count cut are checked in plan order before
-    /// each cell compiles, and the deadline again when each cell starts
-    /// simulating. The report holds the longest plan-order prefix of
-    /// finished cells (`completed == false` when that is not the whole
-    /// plan). Per-cell results do not depend on the control block or the
-    /// thread budget: the simulator's trial streams are thread-invariant,
-    /// so a report produced here matches [`Session::run`] of the same plan
-    /// bit for bit (wall-clock fields aside).
+    /// each cell compiles. The deadline is checked again when a cell
+    /// starts simulating, except for the first compiled cell; cells with
+    /// nothing to simulate always finish once compiled. The report holds
+    /// the longest plan-order prefix of finished cells (`completed ==
+    /// false` when that is not the whole plan); its [`CacheStats`] count
+    /// every compile the run did, including cells cut from the report.
+    /// Per-cell results do not depend on the control block or the thread
+    /// budget: the simulator's trial streams are thread-invariant, so a
+    /// report produced here matches [`Session::run`] of the same plan bit
+    /// for bit (wall-clock fields aside).
     ///
     /// # Errors
     ///
@@ -374,8 +377,13 @@ impl Session {
         // across the cells a worker processes.
         let journal_hash = journal.as_ref().map_or(0, |j| j.path_hash());
         let journal = journal.map(Mutex::new);
+        let simulates =
+            |job: &Job| trials > 0 && plan.circuits()[cells[job.index].circuit].expected.is_some();
+        // Every job started compiling before the deadline. Only simulating
+        // jobs after the first are cut, so a cut run keeps what it compiled.
+        let first = jobs.first().map(|job| job.index);
         let finish = |job: &Job, threads: usize| -> Option<CellRecord> {
-            if expired() {
+            if simulates(job) && Some(job.index) != first && expired() {
                 return None;
             }
             let journaled = journal.as_ref().zip(job.key.as_ref());
@@ -413,12 +421,7 @@ impl Session {
             }
             Some(record)
         };
-        let simulating = jobs
-            .iter()
-            .filter(|job| {
-                trials > 0 && plan.circuits()[cells[job.index].circuit].expected.is_some()
-            })
-            .count();
+        let simulating = jobs.iter().filter(|job| simulates(job)).count();
         let results: Vec<(usize, Option<CellRecord>)> = if simulating > 1 {
             self.pool.install(|| {
                 jobs.into_par_iter()

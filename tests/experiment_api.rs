@@ -6,10 +6,13 @@
 //!   only the *placement* came from the pass-level cache,
 //! * a fig6-style day sweep over the Table-1 configurations shows cache
 //!   hits and strictly fewer placement-pass invocations than compiles (the
-//!   ROADMAP's pass-level-caching item).
+//!   ROADMAP's pass-level-caching item),
+//! * a run cut by its deadline mid-compile still reports what it compiled.
 
+use nisq::exp::RunOutcome;
 use nisq::prelude::*;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 2019;
 
@@ -216,4 +219,46 @@ fn run_reports_a_degenerate_topology_as_a_typed_error() {
         Session::new().run(&plan),
         Err(nisq::compiler::CompileError::Machine(_))
     ));
+}
+
+/// A plan whose compiles dominate: R-SMT* places BV8 afresh for every
+/// calibration day, about 25 ms per cell on a release build.
+fn compile_bound_plan(trials: u32) -> SweepPlan {
+    SweepPlan::new()
+        .benchmark(Benchmark::Bv8)
+        .config("R-SMT*", CompilerConfig::r_smt_star(0.5))
+        .days(0..12)
+        .with_trials(trials)
+}
+
+fn run_until(plan: &SweepPlan, budget: Duration) -> RunOutcome {
+    let control = RunControl::unbounded().with_deadline(Instant::now() + budget);
+    Session::new()
+        .with_threads(4)
+        .run_controlled(plan, &control)
+        .unwrap()
+}
+
+#[test]
+fn a_deadline_mid_compile_keeps_every_compiled_cell_of_a_compile_only_plan() {
+    let outcome = run_until(&compile_bound_plan(0), Duration::from_millis(60));
+    assert!(!outcome.completed);
+    let reported = outcome.report.cells.len();
+    assert!((1..12).contains(&reported), "{reported}/12");
+    assert_eq!(outcome.report.cache.compile_requests, reported as u64);
+}
+
+#[test]
+fn a_deadline_mid_compile_still_finishes_the_first_simulated_cell() {
+    let plan = compile_bound_plan(64);
+    let outcome = run_until(&plan, Duration::from_millis(60));
+    assert!(!outcome.completed);
+    let reported = outcome.report.cells.len();
+    assert!((1..12).contains(&reported), "{reported}/12");
+    assert!(outcome.report.cells[0].success_rate.is_some());
+    let reference = Session::new().run(&plan).unwrap();
+    assert_eq!(
+        outcome.report.canonicalized().cells,
+        reference.canonicalized().cells[..reported]
+    );
 }

@@ -249,6 +249,40 @@ fn expiring_mid_plan_returns_a_partial_report() {
 }
 
 #[test]
+fn expiring_compile_only_plan_returns_its_compiled_prefix() {
+    // A plan without trials spends its whole budget compiling: R-SMT*
+    // places BV8 afresh for each of 12 days. Once the budget runs out
+    // mid-plan, every cell compiled so far is still reported.
+    let config = ServerConfig {
+        fault_plan: Some(FaultPlan {
+            delay_before_run_ms: Some(450),
+            ..FaultPlan::none()
+        }),
+        ..ServerConfig::default()
+    };
+    let (handle, addr) = start(config);
+    let mut client = Client::connect(addr);
+
+    client.send(
+        r#"{"op": "run", "id": "cut", "timeout_ms": 500, "plan": {"benchmarks": "bv8", "mappers": "r-smt-star", "days": "0..12"}}"#,
+    );
+    let line = client.recv_line();
+    let doc = json::parse(&line).unwrap();
+    assert_eq!(status(&doc), "partial", "{line}");
+    let done = field(&doc, "cells_done").as_u64().unwrap();
+    assert!(
+        (1..12).contains(&done),
+        "partial means a strict prefix, got {done}/12"
+    );
+    let report = embedded_report(&line);
+    assert_eq!(report.cells.len() as u64, done);
+    assert_eq!(report.cache.compile_requests, done);
+
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn vanishing_clients_do_not_wedge_the_worker() {
     let config = ServerConfig {
         fault_plan: Some(FaultPlan {
