@@ -25,7 +25,7 @@
 //! dense path is a bug, not a tuning choice.
 
 use nisq_core::CompilerConfig;
-use nisq_exp::{NoiseSpec, Session, DEFAULT_MACHINE_SEED};
+use nisq_exp::{json, NoiseSpec, Session, DEFAULT_MACHINE_SEED};
 use nisq_ir::{bernstein_vazirani, random_circuit, Benchmark, Circuit, RandomCircuitConfig};
 use nisq_machine::TopologySpec;
 use nisq_sim::{Simulator, SimulatorConfig};
@@ -172,32 +172,36 @@ fn measure(session: &mut Session, spec: &Spec) -> Measurement {
     }
 }
 
-/// Extracts `(benchmark, compiler, best_trials_per_sec)` triples from a
-/// baseline file written by this binary (hand-rolled parse: the workspace
-/// has no serde_json offline).
-fn parse_baseline(text: &str) -> Vec<(String, String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"benchmark\"") {
-            continue;
-        }
-        let field = |key: &str| -> Option<&str> {
-            let tag = format!("\"{key}\": ");
-            let start = line.find(&tag)? + tag.len();
-            let rest = &line[start..];
-            let end = rest.find([',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].trim().trim_matches('"'))
-        };
-        if let (Some(b), Some(c), Some(rate)) = (
-            field("benchmark"),
-            field("compiler"),
-            field("best_trials_per_sec").and_then(|v| v.parse::<f64>().ok()),
-        ) {
-            out.push((b.to_string(), c.to_string(), rate));
-        }
-    }
-    out
+/// Extracts the `(benchmark, compiler, best_trials_per_sec)` triple of
+/// every row of a baseline file written by this binary.
+///
+/// # Errors
+///
+/// Names the first row that lacks one of the three fields (or the file's
+/// `measurements` array): a row read as absent would silently drop its
+/// entry's ratchet guard.
+fn parse_baseline(text: &str) -> Result<Vec<(String, String, f64)>, String> {
+    let doc = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let rows = doc
+        .get("measurements")
+        .and_then(json::Value::as_array)
+        .ok_or("no \"measurements\" array")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let text = |key| row.get(key).and_then(json::Value::as_str);
+            match (
+                text("benchmark"),
+                text("compiler"),
+                row.get("best_trials_per_sec").and_then(json::Value::as_f64),
+            ) {
+                (Some(b), Some(c), Some(rate)) => Ok((b.to_string(), c.to_string(), rate)),
+                _ => Err(format!(
+                    "measurement row {i} lacks benchmark, compiler or best_trials_per_sec: {row:?}"
+                )),
+            }
+        })
+        .collect()
 }
 
 /// Compares fresh measurements against a baseline; returns the number of
@@ -487,7 +491,10 @@ fn main() {
     if let Some(baseline_path) = check {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = parse_baseline(&text);
+        let baseline = parse_baseline(&text).unwrap_or_else(|e| {
+            eprintln!("baseline {baseline_path}: {e}");
+            std::process::exit(1);
+        });
         assert!(
             !baseline.is_empty(),
             "baseline {baseline_path} contains no measurements"
@@ -505,5 +512,29 @@ fn main() {
             std::process::exit(1);
         }
         println!("ratchet passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_baseline;
+
+    #[test]
+    fn the_committed_baseline_yields_every_row() {
+        let rows = parse_baseline(include_str!("../../../../BENCH_sim.json")).unwrap();
+        assert_eq!(rows.len(), 13);
+        assert!(rows.iter().all(|(_, _, rate)| *rate > 0.0));
+        assert_eq!(rows[0].0, "BV8");
+        assert_eq!(rows[1].1, "r_smt_star");
+    }
+
+    #[test]
+    fn a_row_without_its_rate_is_an_error_naming_it() {
+        let text = r#"{"measurements": [
+            {"benchmark": "BV8", "compiler": "qiskit", "best_trials_per_sec": 1.0},
+            {"benchmark": "BV8", "compiler": "r_smt_star", "best_trials_per_sec": "fast"}]}"#;
+        let error = parse_baseline(text).unwrap_err();
+        assert!(error.contains("row 1"), "{error}");
+        assert!(error.contains("r_smt_star"), "{error}");
     }
 }

@@ -10,7 +10,7 @@ use nisq_ir::Circuit;
 use nisq_machine::{Machine, MachineError, TopologySpec};
 use nisq_sim::{Simulator, SimulatorConfig};
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -80,10 +80,14 @@ pub struct RunOutcome {
 ///   calibration-unaware configuration.
 ///
 /// Every runner ([`Session::run`], [`Session::run_controlled`],
-/// [`Session::run_journaled`]) shares one execution path: cells compile
-/// serially in plan order, then simulate on a rayon pool, each replaying
-/// its trials with a deterministic per-cell stream, so results are
-/// independent of thread count and identical to a serial run.
+/// [`Session::run_journaled`]) shares one execution path: machines are
+/// built and journal hits replayed in plan order, then each distinct
+/// compile the caches miss runs once on the session's rayon pool, then
+/// cells simulate on the pool, each replaying its trials with a
+/// deterministic per-cell stream. Compiles are pure functions of their
+/// cache key, and one sharing a placement with an earlier compile waits
+/// for it, so results and cache counters are independent of thread count
+/// and identical to a serial run.
 ///
 /// # Example
 ///
@@ -204,20 +208,25 @@ impl Session {
         circuit: &Circuit,
     ) -> Result<(Arc<CompiledCircuit>, bool), CompileError> {
         self.compile_requests += 1;
-        let key = (
-            circuit.fingerprint(),
-            machine.fingerprint(),
-            config.fingerprint(),
-        );
+        let key = compile_key(machine, config, circuit);
         if let Some(hit) = self.compiled.get(&key) {
             self.compile_hits += 1;
             return Ok((hit.clone(), true));
         }
-        let compiled = Arc::new(
-            Compiler::with_pipeline(machine, *config, self.pipeline.clone()).compile(circuit)?,
-        );
+        let compiled = Arc::new(self.compile_uncached(machine, config, circuit)?);
         self.compiled.insert(key, compiled.clone());
         Ok((compiled, false))
+    }
+
+    /// One compile through the session's pipeline (and so its placement
+    /// cache), bypassing the full-compile cache.
+    fn compile_uncached(
+        &self,
+        machine: &Machine,
+        config: &CompilerConfig,
+        circuit: &Circuit,
+    ) -> Result<CompiledCircuit, CompileError> {
+        Compiler::with_pipeline(machine, *config, self.pipeline.clone()).compile(circuit)
     }
 
     /// Like [`Session::compile_cached`], discarding the hit flag.
@@ -275,12 +284,17 @@ impl Session {
     /// hosting services use to cut a run short.
     ///
     /// The deadline and cell-count cut are checked in plan order before
-    /// each cell compiles. The deadline is checked again when a cell
-    /// starts simulating, except for the first compiled cell; cells with
-    /// nothing to simulate always finish once compiled. The report holds
-    /// the longest plan-order prefix of finished cells (`completed ==
-    /// false` when that is not the whole plan); its [`CacheStats`] count
-    /// every compile the run did, including cells cut from the report.
+    /// each cell builds its machine. Compiles then start in plan order,
+    /// and each checks the deadline as it starts, except the first
+    /// pending cell's; the compiled cells form a plan-order prefix, and
+    /// only they count as compile requests. The deadline is checked again
+    /// when a cell starts simulating, except for the first compiled cell;
+    /// cells with nothing to simulate always finish once compiled. The
+    /// report holds the longest plan-order prefix of finished cells
+    /// (`completed == false` when that is not the whole plan). Its
+    /// compile counters in [`CacheStats`] cover the compiled prefix,
+    /// including cells cut from the report before they simulate; its
+    /// placement counters also cover compiles dropped past the cut.
     /// Per-cell results do not depend on the control block or the thread
     /// budget: the simulator's trial streams are thread-invariant, so a
     /// report produced here matches [`Session::run`] of the same plan bit
@@ -340,12 +354,11 @@ impl Session {
         let trials = plan.trials();
         let expired = || control.deadline.is_some_and(|d| Instant::now() >= d);
 
-        // Phase 1, in plan order and serial, so every cell sees the
-        // warmest cache: apply the cuts, build the machine, replay journal
-        // hits and compile the rest.
+        // Phase 1a, serial in plan order: apply the cuts, build the
+        // machines and replay journal hits.
         let mut finished: Vec<Option<CellRecord>> = Vec::with_capacity(cells_total);
         let mut replayed: Vec<bool> = Vec::with_capacity(cells_total);
-        let mut jobs: Vec<Job> = Vec::new();
+        let mut pending: Vec<Pending> = Vec::new();
         let mut error = None;
         for (index, cell) in cells.iter().enumerate() {
             if expired() || control.stop_after_cells.is_some_and(|n| index >= n) {
@@ -356,8 +369,8 @@ impl Session {
                     finished.push(Some(record));
                     replayed.push(true);
                 }
-                Ok(Prepared::Compiled(job)) => {
-                    jobs.push(job);
+                Ok(Prepared::Pending(cell)) => {
+                    pending.push(cell);
                     finished.push(None);
                     replayed.push(false);
                 }
@@ -368,6 +381,19 @@ impl Session {
                     error = Some(e);
                     break;
                 }
+            }
+        }
+
+        // Phase 1b: compile the pending cells across the pool. A cut or a
+        // compile error there comes before any phase-1a error in plan order.
+        let pending_cells = pending.len();
+        let (jobs, compile_error) = self.compile_pending(plan, &cells, pending, &expired);
+        if jobs.len() < pending_cells {
+            error = compile_error;
+        }
+        if journal.is_none() {
+            if let Some(e) = error {
+                return Err(e);
             }
         }
 
@@ -469,7 +495,8 @@ impl Session {
         })
     }
 
-    /// Phase 1 for one cell: its machine, then a journal hit or a compile.
+    /// Phase 1a for one cell: its machine, then a journal hit or a cell
+    /// left for phase 1b to compile.
     fn prepare(
         &mut self,
         plan: &SweepPlan,
@@ -494,23 +521,182 @@ impl Session {
                 return Ok(Prepared::Replayed(hit.clone()));
             }
         }
-        let (executable, cache_hit) = self.compile_cached(&machine, config, &spec.circuit)?;
-        Ok(Prepared::Compiled(Job {
+        Ok(Prepared::Pending(Pending {
             index,
             machine,
-            executable,
-            cache_hit,
             key,
         }))
     }
+
+    /// Phase 1b: resolves the pending cells (in plan order) through the
+    /// full-compile cache and compiles each missing key once, across the
+    /// pool. Compiles are pure functions of their key, so the results
+    /// equal a serial run's.
+    ///
+    /// Returns the longest plan-order prefix of `pending` that compiled,
+    /// and the error that ended it, if one did rather than the deadline.
+    /// Only that prefix counts as compile requests and enters the cache.
+    fn compile_pending(
+        &mut self,
+        plan: &SweepPlan,
+        cells: &[Cell],
+        pending: Vec<Pending>,
+        expired: &(dyn Fn() -> bool + Sync),
+    ) -> (Vec<Job>, Option<CompileError>) {
+        let inputs = |cell: &Pending| {
+            let cell = &cells[cell.index];
+            (
+                &plan.circuits()[cell.circuit].circuit,
+                &plan.configs()[cell.config].1,
+            )
+        };
+        // Where each pending cell's executable comes from: `Ok` from the
+        // cache, `Err(unit)` from the unit compiling its key (one unit per
+        // missing key, in plan order of first use).
+        let mut units: Vec<Unit> = Vec::new();
+        let mut sources: Vec<Result<Arc<CompiledCircuit>, usize>> = Vec::new();
+        let mut unit_of: FxHashMap<CompileKey, usize> = FxHashMap::default();
+        let mut placements: FxHashSet<CompileKey> = FxHashSet::default();
+        for (position, cell) in pending.iter().enumerate() {
+            let (circuit, config) = inputs(cell);
+            let key = compile_key(&cell.machine, config, circuit);
+            if let Some(hit) = self.compiled.get(&key) {
+                sources.push(Ok(hit.clone()));
+                continue;
+            }
+            let unit = *unit_of.entry(key).or_insert_with(|| {
+                // The placement cache keys calibration-unaware configs on
+                // the topology alone, so several units can share one
+                // placement. Its first unit compiles in the first wave and
+                // the rest in the second, where they hit the cache: the
+                // placement counters then match a serial run's.
+                let machine_part = if config.calibration_aware() {
+                    cell.machine.fingerprint()
+                } else {
+                    cell.machine.topology().fingerprint()
+                };
+                let placement = (circuit.fingerprint(), machine_part, config.fingerprint());
+                units.push(Unit {
+                    cell: position,
+                    key,
+                    second_wave: !placements.insert(placement),
+                });
+                units.len() - 1
+            });
+            sources.push(Err(unit));
+        }
+
+        // Compiles start in plan order within a wave and check the
+        // deadline as they start (the first pending cell's excepted), so
+        // the ones that ran form a plan-order prefix of the wave. A wave
+        // only runs units before the first one that did not compile.
+        let compile = |unit: usize| -> Option<Result<CompiledCircuit, CompileError>> {
+            let position = units[unit].cell;
+            if position != 0 && expired() {
+                return None;
+            }
+            let cell = &pending[position];
+            let (circuit, config) = inputs(cell);
+            Some(self.compile_uncached(&cell.machine, config, circuit))
+        };
+        let mut results: Vec<Option<Result<CompiledCircuit, CompileError>>> =
+            (0..units.len()).map(|_| None).collect();
+        // Position in `pending` of the first cell whose compile did not
+        // succeed.
+        let mut stop = pending.len();
+        for second_wave in [false, true] {
+            let wave: Vec<usize> = (0..units.len())
+                .filter(|&u| units[u].second_wave == second_wave && units[u].cell < stop)
+                .collect();
+            let compiled: Vec<_> = self
+                .pool
+                .install(|| wave.into_par_iter().map(|u| (u, compile(u))).collect());
+            for (unit, result) in compiled {
+                if !matches!(result, Some(Ok(_))) {
+                    stop = stop.min(units[unit].cell);
+                }
+                results[unit] = result;
+            }
+        }
+
+        // Keep the prefix before `stop`, caching its compiles and counting
+        // its requests; a compile error also counts the request that failed.
+        let mut error = None;
+        let executables: Vec<Option<Arc<CompiledCircuit>>> = units
+            .iter()
+            .zip(results)
+            .map(|(unit, result)| match result {
+                Some(Ok(compiled)) if unit.cell < stop => {
+                    let compiled = Arc::new(compiled);
+                    self.compiled.insert(unit.key, compiled.clone());
+                    Some(compiled)
+                }
+                Some(Err(e)) if unit.cell == stop => {
+                    error = Some(e);
+                    None
+                }
+                _ => None,
+            })
+            .collect();
+        self.compile_requests += u64::from(error.is_some());
+        let mut jobs = Vec::with_capacity(stop);
+        for (position, (cell, source)) in pending.into_iter().zip(sources).take(stop).enumerate() {
+            let (executable, cache_hit) = match source {
+                Ok(hit) => (hit, true),
+                Err(unit) => (
+                    executables[unit]
+                        .clone()
+                        .expect("units before the stop compiled"),
+                    units[unit].cell != position,
+                ),
+            };
+            self.compile_requests += 1;
+            self.compile_hits += u64::from(cache_hit);
+            jobs.push(Job {
+                index: cell.index,
+                machine: cell.machine,
+                executable,
+                cache_hit,
+                key: cell.key,
+            });
+        }
+        (jobs, error)
+    }
 }
 
-/// A cell after phase 1.
+/// The full-compile cache key of a compile.
+fn compile_key(machine: &Machine, config: &CompilerConfig, circuit: &Circuit) -> CompileKey {
+    (
+        circuit.fingerprint(),
+        machine.fingerprint(),
+        config.fingerprint(),
+    )
+}
+
+/// A cell after phase 1a.
 enum Prepared {
     /// Replayed verbatim from the journal.
     Replayed(CellRecord),
-    /// Compiled; simulating and journaling it is left to phase 2.
-    Compiled(Job),
+    /// Left for phase 1b to compile.
+    Pending(Pending),
+}
+
+/// A cell waiting for phase 1b to compile it.
+struct Pending {
+    /// Position of the cell in plan order.
+    index: usize,
+    machine: Arc<Machine>,
+    /// The cell's journal key; `Some` exactly when the run is journaled.
+    key: Option<CellKey>,
+}
+
+/// One compile of a key the full-compile cache misses.
+struct Unit {
+    /// Position in the pending cells of the first cell with this key.
+    cell: usize,
+    key: CompileKey,
+    /// Whether a unit earlier in plan order shares this one's placement.
+    second_wave: bool,
 }
 
 /// A compiled cell waiting for phase 2.

@@ -8,13 +8,17 @@
 //! Semantics guaranteed (and relied on by the simulator's determinism
 //! tests): the mapped results are collected **in input order**, and the
 //! worker-thread count never affects which element is mapped with which
-//! input — only wall-clock speed. Work is split into contiguous chunks,
-//! one `std::thread::scope` thread per chunk.
+//! input — only wall-clock speed. Items are handed out dynamically: each
+//! `std::thread::scope` worker claims the next unclaimed input index from a
+//! shared atomic counter, so one slow item does not leave the other threads
+//! idle behind a fixed split. A panic in `f` is re-raised in the caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// Thread-count override installed by [`ThreadPool::install`].
@@ -168,29 +172,50 @@ impl<T, F> ParMap<T, F> {
         C: FromIterator<R>,
     {
         let ParMap { items, f } = self;
-        let threads = crate::current_num_threads().min(items.len()).max(1);
+        let len = items.len();
+        let threads = crate::current_num_threads().min(len).max(1);
         if threads <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let chunk_len = items.len().div_ceil(threads);
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-        let mut items = items;
-        while !items.is_empty() {
-            let rest = items.split_off(chunk_len.min(items.len()));
-            chunks.push(std::mem::replace(&mut items, rest));
-        }
-        let f = &f;
-        let mapped: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
-                .collect();
+        // Each slot is taken exactly once, by the worker that claimed its
+        // index; the mutex only moves the item out of the shared vector.
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            let mut mapped = Vec::new();
+            loop {
+                // Relaxed: the counter publishes no data; the item itself
+                // is handed over through its slot's mutex.
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(index) else {
+                    return mapped;
+                };
+                let item = slot
+                    .lock()
+                    .expect("a slot is never locked while an item is mapped")
+                    .take()
+                    .expect("every index is claimed once");
+                mapped.push((index, f(item)));
+            }
+        };
+        let per_thread: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("parallel map worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
-        mapped.into_iter().flatten().collect()
+        let mut results: Vec<Option<R>> = (0..len).map(|_| None).collect();
+        for (index, result) in per_thread.into_iter().flatten() {
+            results[index] = Some(result);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every index is mapped"))
+            .collect()
     }
 }
 
@@ -228,5 +253,76 @@ mod tests {
             pool.install(|| input.clone().into_par_iter().map(|x| x * x).collect())
         };
         assert_eq!(run(1), run(7));
+    }
+
+    fn pool(threads: usize) -> super::ThreadPool {
+        ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn order_survives_heavily_skewed_item_costs() {
+        // The first and the last item each cost far more than all the
+        // others together, so workers finish far out of input order.
+        let slow = |x: u64| -> u64 {
+            let rounds = if x == 0 || x == 63 { 2_000_000 } else { 1_000 };
+            (0..rounds).fold(x, |acc, i| std::hint::black_box(acc ^ i)) ^ (x * 3)
+        };
+        let expected: Vec<u64> = (0..64).map(slow).collect();
+        for threads in [1, 2, 3, 8] {
+            let out: Vec<u64> = pool(threads).install(|| {
+                (0..64)
+                    .collect::<Vec<u64>>()
+                    .into_par_iter()
+                    .map(slow)
+                    .collect()
+            });
+            assert_eq!(out, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_item_is_mapped_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [2, 3, 8] {
+            let calls = AtomicUsize::new(0);
+            let seen: Vec<usize> = pool(threads).install(|| {
+                (0..1000)
+                    .collect::<Vec<usize>>()
+                    .into_par_iter()
+                    .map(|x| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        x
+                    })
+                    .collect()
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), 1000, "{threads} threads");
+            assert_eq!(seen, (0..1000).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            pool(4).install(|| {
+                let out: Vec<u32> = (0..100)
+                    .collect::<Vec<u32>>()
+                    .into_par_iter()
+                    .map(|x| {
+                        assert_ne!(x, 57, "item 57 fails");
+                        x
+                    })
+                    .collect();
+                out
+            })
+        });
+        let payload = result.expect_err("the worker's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("item 57 fails"), "{message}");
     }
 }

@@ -55,6 +55,8 @@ Options:
                      (repeatable; cells multiply)     (default: calibration noise only)
   --machine-seed <s> machine calibration seed         (default: 2019)
   --sim-seed <s>     fixed simulation seed            (default: per-cell seeds)
+  --threads <n>      worker threads; results do not depend on it
+                                                      (default: auto)
   --journal <path>   stream finished cells to a fresh crash-safe journal
   --resume <path>    resume from an existing journal: completed cells load
                      without recomputation, new cells keep appending
@@ -300,6 +302,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     let mut trials = 0u32;
     let mut machine_seed = nisq::exp::DEFAULT_MACHINE_SEED;
     let mut sim_seed: Option<u64> = None;
+    let mut threads = 0usize;
     let mut output: Option<String> = None;
     let mut validate: Option<String> = None;
     let mut canonicalize: Option<String> = None;
@@ -339,6 +342,7 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
             "--noise" => noise_files.push(take_value(&mut i)?),
             "--machine-seed" => machine_seed = parse(take_value(&mut i)?, "machine-seed")?,
             "--sim-seed" => sim_seed = Some(parse(take_value(&mut i)?, "sim-seed")?),
+            "--threads" => threads = parse(take_value(&mut i)?, "threads")? as usize,
             "--output" => output = Some(take_value(&mut i)?),
             "--validate" => validate = Some(take_value(&mut i)?),
             "--canonicalize" => canonicalize = Some(take_value(&mut i)?),
@@ -448,6 +452,9 @@ fn run_sweep(args: &[String]) -> Result<(), String> {
     }
 
     let mut session = Session::new();
+    if threads > 0 {
+        session = session.with_threads(threads);
+    }
     let mut journal = match (&journal_new, &journal_resume) {
         (Some(path), None) => Some(
             Journal::create(
@@ -1217,5 +1224,31 @@ mod tests {
         assert!(run_sweep(&args(&["--validate", &path_str, "--expect-cells", "9"])).is_err());
         let report = Report::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(report.cells.iter().all(|c| c.success_rate.is_some()));
+
+        // The thread budget changes nothing but wall-clock time.
+        for threads in ["1", "4"] {
+            let path = dir.join(format!("report-{threads}.json"));
+            run_sweep(&args(&[
+                "--benchmarks",
+                "bv4,hs2",
+                "--mappers",
+                "qiskit,greedy-e",
+                "--days",
+                "0..2",
+                "--trials",
+                "32",
+                "--threads",
+                threads,
+                "--output",
+                path.to_str().unwrap(),
+            ]))
+            .unwrap();
+            let threaded = Report::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            assert_eq!(
+                threaded.to_json_line_canonical(),
+                report.to_json_line_canonical()
+            );
+        }
+        assert!(run_sweep(&args(&["--threads", "many"])).is_err());
     }
 }

@@ -149,12 +149,16 @@ fn day_sweep_shows_cache_hits_and_fewer_placement_passes() {
     // The acceptance shape: a fig6-style day sweep over the Table-1
     // configurations. Calibration-unaware placements are computed once,
     // not once per day, so placement passes < compiles and hits > 0.
+    // Compiles run in parallel, yet every counter matches a serial run.
     let days = 4usize;
     let plan = SweepPlan::new()
         .benchmarks(Benchmark::representative())
         .table1_configs()
         .days(0..days);
-    let report = Session::new().run(&plan).unwrap();
+    let report = Session::new().with_threads(1).run(&plan).unwrap();
+    let parallel = Session::new().with_threads(4).run(&plan).unwrap();
+    assert_eq!(parallel.cache, report.cache);
+    assert_eq!(parallel.canonicalized(), report.canonicalized());
 
     assert_eq!(report.cells.len(), 3 * 6 * days);
     assert_eq!(report.cache.compile_requests as usize, report.cells.len());
@@ -172,6 +176,47 @@ fn day_sweep_shows_cache_hits_and_fewer_placement_passes() {
     // Two of six Table-1 configs are calibration-unaware; their placements
     // for days 1.. are all placement-cache hits.
     assert_eq!(report.cache.place_hits as usize, 3 * 2 * (days - 1));
+}
+
+#[test]
+fn an_unaware_placement_runs_once_across_days_at_any_thread_count() {
+    // Every day's compile misses the full-compile cache, and all eight
+    // share one topology-keyed placement: only the first may run it, even
+    // when four threads start compiling at once.
+    let plan = SweepPlan::new()
+        .benchmark(Benchmark::Adder)
+        .config(
+            "T-SMT",
+            CompilerConfig::t_smt(RouteSelection::RectangleReservation),
+        )
+        .days(0..8);
+    for threads in [1, 4] {
+        let report = Session::new().with_threads(threads).run(&plan).unwrap();
+        assert_eq!(
+            (report.cache.place_runs, report.cache.place_hits),
+            (1, 7),
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn a_config_listed_twice_compiles_once_at_any_thread_count() {
+    let plan = SweepPlan::new()
+        .benchmarks([Benchmark::Bv4, Benchmark::Toffoli])
+        .config("GreedyE*", CompilerConfig::greedy_e())
+        .config("GreedyE* again", CompilerConfig::greedy_e())
+        .days([0, 1]);
+    let serial = Session::new().with_threads(1).run(&plan).unwrap();
+    let parallel = Session::new().with_threads(4).run(&plan).unwrap();
+    assert_eq!(serial.cache.compile_requests, 8);
+    assert_eq!(serial.cache.compile_hits, 4);
+    assert_eq!(parallel.cache, serial.cache);
+    for report in [&serial, &parallel] {
+        for cell in &report.cells {
+            assert_eq!(cell.cache_hit, cell.config == "GreedyE* again");
+        }
+    }
 }
 
 #[test]

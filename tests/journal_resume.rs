@@ -366,6 +366,58 @@ fn compile_error_still_journals_the_cells_before_it() {
 }
 
 #[test]
+fn pipeline_compile_error_journals_exactly_the_cells_before_it() {
+    // A 17-qubit circuit cannot be placed on the 16-qubit IBMQ16. As the
+    // plan's second circuit, its first cell is the third in plan order;
+    // the cells after it compile in parallel but are discarded.
+    let mut wide = Circuit::new(17);
+    for q in 0..17 {
+        wide.x(Qubit(q));
+    }
+    wide.measure_all();
+    let with_wide = SweepPlan::new()
+        .benchmark(Benchmark::Bv4)
+        .circuit(CircuitSpec::new("wide17", wide).with_expected(vec![true; 17]))
+        .benchmark(Benchmark::Hs2)
+        .config("Qiskit", CompilerConfig::qiskit())
+        .config("R-SMT*", CompilerConfig::r_smt_star(0.5))
+        .days(vec![0, 1])
+        .with_trials(32);
+    let mut session = Session::new().with_threads(4);
+    assert!(matches!(
+        session.run(&with_wide),
+        Err(CompileError::CircuitTooLarge { .. })
+    ));
+    // Only the two cells before it and the failing request count; later
+    // compiles are dropped.
+    assert_eq!(session.cache_stats().compile_requests, 3);
+
+    let path = temp_path("pipeline-error.journal");
+    let mut journal = Journal::create(&path, with_wide.machine_seed(), with_wide.trials()).unwrap();
+    let result = Session::new().with_threads(4).run_journaled(
+        &with_wide,
+        &RunControl::unbounded(),
+        &mut journal,
+    );
+    assert!(matches!(result, Err(CompileError::CircuitTooLarge { .. })));
+    assert_eq!(journal.completed_cells(), 2);
+    drop(journal);
+
+    // A retry without the wide circuit replays both cells byte-identically.
+    let valid = plan();
+    let mut journal = Journal::resume(&path, valid.machine_seed(), valid.trials()).unwrap();
+    let resumed = Session::new()
+        .with_threads(4)
+        .run_journaled(&valid, &RunControl::unbounded(), &mut journal)
+        .unwrap();
+    assert_eq!(resumed.report.resumed_cells, 2);
+    assert_eq!(
+        resumed.report.to_json_line_canonical(),
+        reference_canonical(&valid)
+    );
+}
+
+#[test]
 fn inspect_summarizes_without_touching_the_file() {
     let plan = plan();
     let path = temp_path("inspect.journal");
