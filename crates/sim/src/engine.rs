@@ -89,7 +89,7 @@
 
 use crate::backend::BackendKind;
 use crate::clifford::SymplecticPauli;
-use crate::program::{TrialEvent, TrialOp, TrialProgram, TrialScratch};
+use crate::program::{clbit_mask, TrialEvent, TrialOp, TrialProgram, TrialScratch};
 use crate::rng::TrialRng;
 use rand::Rng;
 use rustc_hash::FxHashMap;
@@ -220,8 +220,8 @@ struct MeasurePoint {
     op: u32,
     /// Program qubit measured.
     qubit: u8,
-    /// Classical bit recorded.
-    clbit: u8,
+    /// Classical bit recorded (`None`: overwritten later, records nothing).
+    clbit: Option<u8>,
     /// Readout flip probability.
     p_flip: f64,
     /// Probability of outcome 1 on the dominant path (clamped to `[0, 1]`
@@ -276,8 +276,7 @@ pub struct TieredEngine<'p> {
     terminal_op: usize,
     terminal: TerminalPlan,
     /// Smallest op index from which error trials are served by tier-0
-    /// Pauli propagation; `usize::MAX` when tier 0 is disabled (by option,
-    /// or because the terminal clbit map is not X-mask safe).
+    /// Pauli propagation; `usize::MAX` when tier 0 is disabled by option.
     pauli_prop_from: usize,
     /// Whether the single-error suffix memo is active for this program
     /// (option on, error mass below the λ≈1 worthwhileness bound, and a
@@ -377,26 +376,10 @@ impl<'p> TieredEngine<'p> {
         };
 
         // Tier 0 twists the terminal sample by XOR-ing the Pauli's X mask
-        // into the sampled basis index, which is sound only when the clbit
-        // key is a bijective image of the measured qubits' bits: every
-        // clbit must be owned by a single qubit. (Lowered programs always
-        // satisfy this; the guard keeps exotic hand-built programs exact.)
-        let xor_safe = match ops.get(terminal_op) {
-            Some(TrialOp::TerminalSample { measures }) => {
-                let mut owner = [u8::MAX; 128];
-                measures.iter().all(|&(q, c, _)| {
-                    let slot = &mut owner[usize::from(c)];
-                    if *slot == u8::MAX {
-                        *slot = q;
-                        true
-                    } else {
-                        *slot == q
-                    }
-                })
-            }
-            _ => true,
-        };
-        let pauli_prop_from = if options.pauli_prop && xor_safe {
+        // into the sampled basis index. That is sound because lowering
+        // leaves every clbit at most one live write, so the clbit key is a
+        // function of the measured qubits' bits.
+        let pauli_prop_from = if options.pauli_prop {
             program.clifford_suffix_from()
         } else {
             usize::MAX
@@ -449,7 +432,7 @@ impl<'p> TieredEngine<'p> {
                 bit = !bit;
             }
             if bit {
-                clbits |= 1u128 << m.clbit;
+                clbits |= clbit_mask(m.clbit);
             }
             if outcome != m.dominant {
                 return MeasureWalk {
@@ -564,7 +547,7 @@ impl<'p> TieredEngine<'p> {
                         bit = !bit;
                     }
                     if bit {
-                        clbits |= 1u128 << clbit;
+                        clbits |= clbit_mask(clbit);
                     }
                     // After the collapse a Z on the measured qubit is a
                     // global phase; the X component survives as the

@@ -165,8 +165,11 @@ pub enum TrialOp {
     Measure {
         /// Compact qubit index.
         qubit: u8,
-        /// Classical bit index (bit position in the packed outcome).
-        clbit: u8,
+        /// Classical bit index (bit position in the packed outcome), or
+        /// `None` when a later measurement overwrites the bit: the last
+        /// write wins, so this one still collapses the qubit but records
+        /// nothing (and its `p_flip` is zero).
+        clbit: Option<u8>,
         /// Probability the classical result is flipped.
         p_flip: f64,
     },
@@ -570,7 +573,7 @@ impl TrialProgram {
                     }
                     lowering.ops.push(TrialOp::Measure {
                         qubit: q,
-                        clbit: gate.clbits()[0].0 as u8,
+                        clbit: Some(gate.clbits()[0].0 as u8),
                         p_flip: p_readout[usize::from(q)],
                     });
                 }
@@ -1007,7 +1010,7 @@ impl TrialProgram {
     /// [`TrialScratch`] instantiation is the tiered engine's replay path
     /// and is bit-identical to the pre-trait monolithic walker (each trait
     /// hook contains exactly the code that used to be inline); the tableau
-    /// instantiation is the stabilizer engine's full-replay fallback.
+    /// instantiation replays a fully-Clifford program on a stabilizer state.
     ///
     /// Beyond the compile-time fusion done at lowering, the dense backend
     /// fuses at *runtime* across noise-injection points: a sampled Pauli is
@@ -1101,7 +1104,7 @@ impl TrialProgram {
                         outcome = !outcome;
                     }
                     if outcome {
-                        clbits |= 1u128 << clbit;
+                        clbits |= clbit_mask(clbit);
                     }
                 }
                 TrialOp::TerminalSample { ref measures } => {
@@ -1716,9 +1719,22 @@ fn emit_2q_channel(lowering: &mut Lowering, binding: &Binding, a: u8, b: u8, cal
     }
 }
 
-/// Sinks every measurement whose qubit is never referenced afterwards to
-/// the end of the program, folding two or more of them into one
-/// [`TrialOp::TerminalSample`].
+/// The packed-key bit a measurement records into: empty for a measurement
+/// whose clbit a later one overwrites.
+pub(crate) fn clbit_mask(clbit: Option<u8>) -> u128 {
+    clbit.map_or(0, |c| 1u128 << c)
+}
+
+/// Resolves clbit aliasing, then sinks every measurement whose qubit is
+/// never referenced afterwards to the end of the program, folding two or
+/// more of them into one [`TrialOp::TerminalSample`].
+///
+/// When two measurements write one clbit, the last write in program order
+/// wins, as in OpenQASM. An overwritten measurement that sinks is dropped
+/// (nothing reads its qubit again); one that cannot sink keeps collapsing
+/// its qubit but records nothing and draws no readout flip. Afterwards
+/// every clbit has at most one live write, so every backend may combine a
+/// trial's bits by OR or by XOR alike.
 ///
 /// A measurement commutes with every later op that does not reference its
 /// qubit (gates and noise on other qubits, and other sinkable
@@ -1734,24 +1750,34 @@ fn sink_measures(ops: &mut Vec<TrialOp>) {
     let mut used_later = [0u64; 4];
     let mark = |set: &mut [u64; 4], q: u8| set[usize::from(q >> 6)] |= 1u64 << (q & 63);
     let test = |set: &[u64; 4], q: u8| set[usize::from(q >> 6)] >> (q & 63) & 1 == 1;
+    // Clbits a later measurement writes.
+    let mut written_later = 0u128;
     // Reverse program order: `used_later` holds the qubits referenced by
     // ops later than the one being examined.
     let mut kept_rev: Vec<TrialOp> = Vec::with_capacity(ops.len());
     let mut sunk_rev: Vec<(u8, u8, f64)> = Vec::new();
-    for op in ops.drain(..).rev() {
+    for mut op in ops.drain(..).rev() {
         if let TrialOp::Measure {
             qubit,
-            clbit,
-            p_flip,
+            ref mut clbit,
+            ref mut p_flip,
         } = op
         {
+            let live = clbit.filter(|&c| written_later & 1u128 << c == 0);
+            written_later |= clbit_mask(live);
             if !test(&used_later, qubit) {
                 // Note: the qubit is deliberately NOT marked as used — an
                 // earlier measurement of the same qubit may sink too, and
                 // joint sampling then assigns both clbits the same bit,
                 // exactly as measure-then-remeasure would.
-                sunk_rev.push((qubit, clbit, p_flip));
+                if let Some(c) = live {
+                    sunk_rev.push((qubit, c, *p_flip));
+                }
                 continue;
+            }
+            *clbit = live;
+            if live.is_none() {
+                *p_flip = 0.0;
             }
         }
         match op {
@@ -1790,7 +1816,7 @@ fn sink_measures(ops: &mut Vec<TrialOp>) {
             let (qubit, clbit, p_flip) = sunk_rev[0];
             ops.push(TrialOp::Measure {
                 qubit,
-                clbit,
+                clbit: Some(clbit),
                 p_flip,
             });
         }
@@ -2012,6 +2038,40 @@ mod tests {
                 .ops()
                 .iter()
                 .any(|op| matches!(op, TrialOp::Unitary { qubit, .. } if *qubit == 1)),
+            "ops: {:?}",
+            program.ops()
+        );
+    }
+
+    #[test]
+    fn the_last_write_to_a_clbit_wins() {
+        let mut c = Circuit::with_clbits(2, 2);
+        c.x(Qubit(0));
+        c.measure(Qubit(0), nisq_ir::Clbit(0)); // overwritten, not sinkable
+        c.measure(Qubit(1), nisq_ir::Clbit(1)); // overwritten, sinkable
+        c.x(Qubit(0));
+        c.measure(Qubit(0), nisq_ir::Clbit(1));
+        c.measure(Qubit(1), nisq_ir::Clbit(0));
+        let program = TrialProgram::lower(&c, &machine(), &NoiseModel::full());
+        let measures: Vec<&TrialOp> = program
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, TrialOp::Measure { .. } | TrialOp::TerminalSample { .. }))
+            .collect();
+        // The overwritten mid-measure still collapses qubit 0 but records
+        // nothing and flips nothing; the overwritten terminal entry is gone.
+        assert!(
+            matches!(
+                measures[..],
+                [
+                    TrialOp::Measure {
+                        qubit: 0,
+                        clbit: None,
+                        p_flip,
+                    },
+                    TrialOp::TerminalSample { measures },
+                ] if *p_flip == 0.0 && measures.iter().map(|&(q, c, _)| (q, c)).eq([(0, 1), (1, 0)])
+            ),
             "ops: {:?}",
             program.ops()
         );

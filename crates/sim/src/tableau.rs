@@ -68,7 +68,7 @@ use crate::clifford::{classify, Clifford1Q};
 use crate::engine::TierCounts;
 use crate::gates::Matrix2;
 use crate::noise::Pauli;
-use crate::program::{TrialEvent, TrialOp, TrialProgram};
+use crate::program::{clbit_mask, TrialEvent, TrialOp, TrialProgram};
 use crate::rng::TrialRng;
 use rand::Rng;
 use rustc_hash::FxHashMap;
@@ -488,7 +488,7 @@ impl AffineRow {
 #[derive(Debug, Clone, Copy)]
 struct MidMeasure {
     /// Classical bit recorded.
-    clbit: u8,
+    clbit: Option<u8>,
     /// Readout flip probability.
     p_flip: f64,
     /// The deterministic ideal outcome.
@@ -697,7 +697,7 @@ impl<'p> TableauEngine<'p> {
                 bit = !bit;
             }
             if bit {
-                clbits |= 1u128 << m.clbit;
+                clbits |= clbit_mask(m.clbit);
             }
         }
         if let Some(t) = terminal {
@@ -769,7 +769,7 @@ fn build_site_masks(program: &TrialProgram, terminal: Option<&TerminalAffine>) -
                 // An X crossing the measurement flips its clbit and
                 // persists onto the post-measure state; a Z dies there.
                 let q = usize::from(qubit);
-                mask_x[q] ^= 1u128 << clbit;
+                mask_x[q] ^= clbit_mask(clbit);
                 mask_z[q] = 0;
             }
             TrialOp::Unitary { qubit, .. } => {

@@ -148,6 +148,17 @@ fn exact_engine_is_bit_identical_to_reference_replay() {
             TrialProgram::lower(&coin_flip_circuit(), &m, &noise_model),
         ));
     }
+    // Two measurements writing one clbit, folded into the terminal sample
+    // and kept mid-circuit: the last write must win on every path.
+    for (name, circuit) in [
+        ("aliased-terminal", aliased_terminal_circuit()),
+        ("aliased-mid", aliased_mid_circuit()),
+    ] {
+        programs.push((
+            name.into(),
+            TrialProgram::lower(&circuit, &m, &NoiseModel::full()),
+        ));
+    }
 
     for (name, program) in &programs {
         for seed in [1u64, 42] {
@@ -314,27 +325,53 @@ fn tier0_outcomes_match_numeric_reference_within_tv_bound() {
     }
 }
 
-#[test]
-fn aliased_mid_measure_clbits_agree_across_backends() {
-    // Regression (formerly examples/alias_repro.rs): a fully-Clifford
-    // circuit whose two mid-circuit measures write the SAME clbit. The
-    // second write must shadow the first identically on the tableau fast
-    // path and the dense-exact engine — the bug class this pins is the
-    // fast path resolving aliased clbit writes in a different order.
-    let m = machine();
+/// Two terminal measurements writing one clbit: both sink into the
+/// terminal sample, and `c0` must hold qubit 1's outcome alone.
+fn aliased_terminal_circuit() -> Circuit {
+    let mut c = Circuit::with_clbits(2, 1);
+    c.x(Qubit(0));
+    c.x(Qubit(1));
+    c.measure(Qubit(0), nisq_ir::Clbit(0));
+    c.measure(Qubit(1), nisq_ir::Clbit(0));
+    c
+}
+
+/// A fully-Clifford circuit whose two mid-circuit measures write the same
+/// clbit (both qubits are used again, so neither sinks), then a terminal
+/// measure so the program ends in a sample.
+fn aliased_mid_circuit() -> Circuit {
     let mut c = Circuit::with_clbits(2, 2);
     c.x(Qubit(0));
     c.measure(Qubit(0), nisq_ir::Clbit(0)); // ideal outcome 1
     c.x(Qubit(1)); // noise site on this gate
     c.measure(Qubit(1), nisq_ir::Clbit(0)); // ideal outcome 1, same clbit
-                                            // Keep both measures mid-circuit (the qubits are used again), then a
-                                            // terminal measure so the programs end in a sample.
     c.x(Qubit(0));
     c.x(Qubit(1));
     c.measure(Qubit(0), nisq_ir::Clbit(1));
-    let program = TrialProgram::lower(&c, &m, &NoiseModel::full());
+    c
+}
 
-    let trials = 32768u32;
+/// Fraction of trials whose key has clbit 0 clear.
+fn p_c0_zero(counts: &HashMap<u128, u32>, trials: u32) -> f64 {
+    let zeros: u32 = counts
+        .iter()
+        .filter(|(key, _)| *key & 1 == 0)
+        .map(|(_, n)| n)
+        .sum();
+    f64::from(zeros) / f64::from(trials)
+}
+
+#[test]
+fn aliased_mid_measure_clbits_agree_across_backends() {
+    // Regression (formerly examples/alias_repro.rs): the second write to
+    // clbit 0 must shadow the first identically on the tableau backend
+    // and the dense-exact engine (bit-identical to the reference replay,
+    // see above). P(c0 = 0) is the readout-flip and gate-error mass of
+    // the second write alone; the first write's flip must not leak in.
+    let m = machine();
+    let program = TrialProgram::lower(&aliased_mid_circuit(), &m, &NoiseModel::full());
+
+    let trials = 1u32 << 20;
     let (fast, fast_tiers) =
         engine_counts_with(&m, &program, 42, trials, 4, EngineOptions::default());
     let (exact, exact_tiers) =
@@ -345,6 +382,20 @@ fn aliased_mid_measure_clbits_agree_across_backends() {
     assert!(
         tv < 0.03,
         "aliased-clbit TV {tv} exceeds the sampling bound"
+    );
+    // Two independent estimates of one proportion: their difference has
+    // standard error sqrt(p(1-p)/N + q(1-q)/N), about 3.5e-4 here. Five
+    // of them is a ~1-in-1.7M false alarm. With the last write winning,
+    // P(c0 = 0) is about 0.07. Composing both writes instead left it below
+    // 0.01, where an OR and an XOR composition sat 21 standard errors
+    // apart.
+    let (p, q) = (p_c0_zero(&fast, trials), p_c0_zero(&exact, trials));
+    let n = f64::from(trials);
+    let se = (p * (1.0 - p) / n + q * (1.0 - q) / n).sqrt();
+    assert!(
+        (p - q).abs() < 5.0 * se,
+        "tableau P(c0=0) {p} vs reference {q}: {:.1} standard errors apart",
+        (p - q).abs() / se
     );
 }
 
@@ -443,7 +494,7 @@ fn interleaved_success_rate(
                     if p_flip > 0.0 && rng.gen_bool(p_flip) {
                         outcome = !outcome;
                     }
-                    if outcome {
+                    if let (true, Some(clbit)) = (outcome, clbit) {
                         clbits |= 1u64 << clbit;
                     }
                 }
