@@ -16,30 +16,32 @@
 //!   ops touching `O(n/64)` words per wire, and a relabeling SWAP is a
 //!   permutation update with zero data movement. It implements
 //!   [`SimBackend`], so the generic replay walker drives it unchanged.
-//! * [`TableauEngine`]: the per-program trial engine. One ideal pass over
-//!   the ops computes every mid-measure's deterministic outcome and reduces
-//!   the terminal state to an *affine sampler* (see below); one backward
-//!   pass precomputes, for every noise site, the clbit-key perturbation an
-//!   `X` or `Z` injected there produces. After that, an error-free trial
-//!   costs a handful of coin flips, and an error trial adds one
-//!   precomputed `u128` XOR per fired Pauli component — never a state
-//!   pass, and never a per-trial tableau replay unless the program has a
-//!   genuinely random mid-circuit measurement (then the engine falls back
-//!   to full tableau replays, which are still polynomial).
+//! * [`TableauEngine`]: the per-program trial engine, a Pauli-frame
+//!   sampler (see below). One ideal tableau pass draws a reference sample;
+//!   one backward pass precomputes, for every noise site, the clbit-key
+//!   perturbation an `X` or `Z` injected there produces. After that, an
+//!   error-free trial costs a handful of coin flips, and an error trial
+//!   adds one precomputed `u128` XOR per fired Pauli component — never a
+//!   state pass and never a per-trial tableau replay, whether the
+//!   program's mid-circuit measurements are deterministic or random.
 //!
-//! # The affine terminal sampler
+//! # Pauli-frame sampling
 //!
-//! The computational-basis support of a stabilizer state is an affine
-//! subspace `s0 ⊕ span(D)` with *uniform* probability on it, where `D` is
-//! the set of X-parts of the stabilizer generators. Gaussian elimination on
-//! the stabilizer rows' X-parts (phase-correct row multiplication) yields
-//! `k` pivot rows — the directions `D` — and `n − k` pure-Z rows, each a
-//! parity constraint `v · s = r` on the support; solving the constraints
-//! with free bits at zero gives `s0`. Projecting `s0` and the directions
-//! through the terminal measure map onto classical bits (then reducing the
-//! projected directions to a GF(2) basis, which preserves uniformity over
-//! the span) turns terminal sampling into `base ⊕ (random subset of the
-//! basis)` — one coin flip per basis vector.
+//! The method is Stim's (Gidney, *Quantum* 5, 497, 2021). The ideal
+//! outcome record of a stabilizer circuit is uniform over an affine
+//! subspace of key space. One ideal pass that measures every mid-circuit
+//! and terminal measurement with a fixed RNG draws one point of it, the
+//! *reference sample*. The rest of the subspace is reached by `Z`
+//! insertions on wires that sit in a Z eigenstate: every wire at program
+//! start, and the measured wire just after each mid-circuit measurement.
+//! Such a `Z` changes the state only by a sign, yet propagated forward
+//! its X part flips exactly the later outcomes that the eigenstate's
+//! randomness reaches. Inserting each one with probability ½ therefore
+//! samples the ideal record exactly. The same backward pass that builds
+//! the error masks yields the key images of these insertions, reduced to
+//! a GF(2) basis: one coin per basis vector is uniform over their span,
+//! as a random subset of the images is. An ideal key is then
+//! `reference ⊕ (random subset of the basis)`.
 //!
 //! # Error trials as precomputed XOR masks
 //!
@@ -48,11 +50,12 @@
 //! crossing a measurement flips exactly that clbit, a `Z` crossing one
 //! dies (global phase), and `P|ψ⟩` at the terminal sample merely translates
 //! the support of `|ψ⟩` by `P`'s X-mask — phases never touch measurement
-//! statistics. So a single backward pass over the ops suffices to tabulate,
-//! per noise site and wire, the final-key image of an `X` and of a `Z`
-//! injected there ([`SiteMask`]). An error trial is then the error-free
-//! sample XOR the masks of whatever fired — `O(1)` per fired Pauli instead
-//! of an `O(ops)` propagation walk.
+//! statistics. An error Pauli is just one more frame component. So a
+//! single backward pass over the ops suffices to tabulate, per noise site
+//! and wire, the final-key image of an `X` and of a `Z` injected there
+//! ([`SiteMask`]). An error trial is then the error-free sample XOR the
+//! masks of whatever fired — `O(1)` per fired Pauli instead of an `O(ops)`
+//! propagation walk.
 //!
 //! # Exactness
 //!
@@ -72,19 +75,6 @@ use crate::program::{clbit_mask, TrialEvent, TrialOp, TrialProgram};
 use crate::rng::TrialRng;
 use rand::Rng;
 use rustc_hash::FxHashMap;
-
-/// Words per wide bit-row: 256 bits cover every compact qubit index (`u8`).
-const ROW_WORDS: usize = 4;
-
-#[inline]
-fn wide_get(bits: &[u64; ROW_WORDS], q: u8) -> bool {
-    bits[usize::from(q >> 6)] >> (q & 63) & 1 == 1
-}
-
-#[inline]
-fn wide_toggle(bits: &mut [u64; ROW_WORDS], q: u8) {
-    bits[usize::from(q >> 6)] ^= 1u64 << (q & 63);
-}
 
 /// Aaronson–Gottesman stabilizer tableau with the `(x, z) = (1, 1) ≡ Y`
 /// convention, stored column-major and bit-packed (see the module docs).
@@ -444,73 +434,6 @@ impl SimBackend for TableauState {
     }
 }
 
-/// One extracted stabilizer generator in row-major, program-qubit-indexed
-/// form (bit `q` of `x`/`z` is the component on program qubit `q`), used by
-/// the affine-sampler Gaussian elimination.
-#[derive(Debug, Clone, Copy, Default)]
-struct AffineRow {
-    x: [u64; ROW_WORDS],
-    z: [u64; ROW_WORDS],
-    r: bool,
-}
-
-impl AffineRow {
-    /// `self ← other · self` with phase arithmetic (both operands are
-    /// commuting stabilizer-group elements, so the product is real).
-    fn mul_by(&mut self, other: &AffineRow) {
-        let mut k = 2 * (i32::from(self.r) + i32::from(other.r));
-        for w in 0..ROW_WORDS {
-            let mut live = other.x[w] | other.z[w];
-            while live != 0 {
-                let b = live.trailing_zeros();
-                live &= live - 1;
-                k += phase_g(
-                    other.x[w] >> b & 1 == 1,
-                    other.z[w] >> b & 1 == 1,
-                    self.x[w] >> b & 1 == 1,
-                    self.z[w] >> b & 1 == 1,
-                );
-            }
-        }
-        let k = k.rem_euclid(4);
-        debug_assert!(k == 0 || k == 2, "stabilizer product came out imaginary");
-        self.r = k == 2;
-        for w in 0..ROW_WORDS {
-            self.x[w] ^= other.x[w];
-            self.z[w] ^= other.z[w];
-        }
-    }
-}
-
-/// One mid-program measurement of a fully-Clifford program: its outcome on
-/// the ideal path is deterministic (that is what makes the fast path
-/// possible), so the whole point is precomputed.
-#[derive(Debug, Clone, Copy)]
-struct MidMeasure {
-    /// Classical bit recorded.
-    clbit: Option<u8>,
-    /// Readout flip probability.
-    p_flip: f64,
-    /// The deterministic ideal outcome.
-    outcome: bool,
-}
-
-/// The precomputed affine sampler of the terminal state (module docs).
-#[derive(Debug, Clone)]
-struct TerminalAffine {
-    /// Clbit key of the base support point `s0` (flips not applied).
-    base_key: u128,
-    /// Independent clbit-space direction masks: XOR-ing a uniformly random
-    /// subset into `base_key` samples the ideal terminal distribution.
-    directions: Vec<u128>,
-    /// `(qubit, clbit)` of every folded measure, deduplicated — how an
-    /// error trial's X-mask projects onto the clbit key.
-    bit_map: Vec<(u8, u8)>,
-    /// `(clbit, p_flip)` of every folded measure with readout noise, in
-    /// program order.
-    flips: Vec<(u8, f64)>,
-}
-
 /// Per-noise-site error masks (module docs, "error trials"): the clbit-key
 /// perturbation caused by each single-Pauli component a site can inject.
 /// One-wire sites (gate noise) use only the `a*` pair; two-wire sites
@@ -523,118 +446,47 @@ struct SiteMask {
     bz: u128,
 }
 
-/// How the engine serves trials.
-#[derive(Debug)]
-enum Mode {
-    /// Every mid-measure is deterministic (and the terminal clbit map is
-    /// XOR-safe): trials are served by precomputed outcomes, the affine
-    /// sampler and per-site error masks — no per-trial state at all.
-    Fast {
-        mids: Vec<MidMeasure>,
-        terminal: Option<TerminalAffine>,
-        masks: Vec<SiteMask>,
-    },
-    /// A mid-measure came out random (or the clbit map aliases qubits):
-    /// every trial replays in full on a tableau via the generic walker.
-    /// Still polynomial, just not constant-time per trial.
-    PerTrialReplay,
-}
-
-/// A fully-Clifford [`TrialProgram`] analyzed for tableau execution: one
-/// ideal tableau pass at construction, then near-constant work per trial.
-/// The chunk interface mirrors [`TieredEngine`](crate::TieredEngine) so the
+/// A fully-Clifford [`TrialProgram`] analyzed for Pauli-frame sampling
+/// (module docs): one ideal tableau pass and one backward pass at
+/// construction, then a few coin flips and XORs per trial. The chunk
+/// interface mirrors [`TieredEngine`](crate::TieredEngine) so the
 /// simulator drives either engine through the same partition.
 #[derive(Debug)]
 pub(crate) struct TableauEngine<'p> {
     program: &'p TrialProgram,
-    mode: Mode,
+    /// Clbit key of the reference sample (readout flips not applied).
+    base_key: u128,
+    /// GF(2) basis of the key images of the random `Z` frame: XOR-ing a
+    /// uniformly random subset into `base_key` samples the ideal outcome
+    /// distribution.
+    directions: Vec<u128>,
+    /// `(clbit, p_flip)` of every recording measurement with readout
+    /// noise, in program order.
+    flips: Vec<(u8, f64)>,
+    /// Error masks, one per noise site.
+    masks: Vec<SiteMask>,
 }
 
 impl<'p> TableauEngine<'p> {
     /// Analyzes `program` (which must be fully Clifford: its
     /// [`backend_kind`](TrialProgram::backend_kind) is `Tableau`).
     pub fn new(program: &'p TrialProgram) -> Self {
-        let ops = program.ops();
-        let terminal_op = match ops.last() {
-            Some(TrialOp::TerminalSample { .. }) => ops.len() - 1,
-            _ => ops.len(),
-        };
-
-        let mut tab = TableauState::new(program.num_qubits());
-        let mut mids = Vec::new();
-        for (i, op) in ops[..terminal_op].iter().enumerate() {
-            match *op {
-                TrialOp::Unitary { qubit, .. } => {
-                    let action = program
-                        .clifford_action(i)
-                        .expect("tableau programs are fully Clifford");
-                    tab.apply_clifford1q(qubit, &action);
-                }
-                TrialOp::Cnot { control, target } => tab.apply_cnot(control, target),
-                TrialOp::Swap { a, b, .. } => tab.swap_relabel(a, b),
-                TrialOp::GateNoise { .. }
-                | TrialOp::CnotNoise { .. }
-                | TrialOp::ChannelNoise { .. }
-                | TrialOp::ChannelNoise2 { .. } => {}
-                TrialOp::KrausChannel { .. } => {
-                    unreachable!("Kraus channels force the dense backend at lowering")
-                }
-                TrialOp::Measure {
-                    qubit,
-                    clbit,
-                    p_flip,
-                } => match tab.deterministic_outcome(qubit) {
-                    Some(outcome) => mids.push(MidMeasure {
-                        clbit,
-                        p_flip,
-                        outcome,
-                    }),
-                    None => {
-                        return TableauEngine {
-                            program,
-                            mode: Mode::PerTrialReplay,
-                        }
-                    }
-                },
-                TrialOp::TerminalSample { .. } => {
-                    unreachable!("a terminal sample is always the last op")
-                }
-            }
-        }
-
-        let terminal = match ops.get(terminal_op) {
-            Some(TrialOp::TerminalSample { measures }) => {
-                match build_affine(&tab, measures, program.num_qubits()) {
-                    Some(affine) => Some(affine),
-                    // Aliased clbits (two qubits feeding one bit) make the
-                    // projection non-linear; take the exact slow path.
-                    None => {
-                        return TableauEngine {
-                            program,
-                            mode: Mode::PerTrialReplay,
-                        }
-                    }
-                }
-            }
-            _ => None,
-        };
-
-        let masks = build_site_masks(program, terminal.as_ref());
+        let (base_key, flips) = reference_sample(program);
+        let (masks, frame) = build_site_masks(program);
         TableauEngine {
             program,
-            mode: Mode::Fast {
-                mids,
-                terminal,
-                masks,
-            },
+            base_key,
+            directions: gf2_basis(frame),
+            flips,
+            masks,
         }
     }
 
     /// Simulates trials `[start, end)` of the stream derived from `seed`,
     /// accumulating bit-packed outcome counts and tier occupancy — the
     /// tableau counterpart of [`TieredEngine::run_chunk`](crate::TieredEngine::run_chunk).
-    /// Error-free trials count as `error_free`, propagated error trials as
-    /// `pauli_prop`, and slow-path replays as `full_replay`.
+    /// Error-free trials count as `error_free`, error trials as
+    /// `pauli_prop`.
     pub fn run_chunk(
         &self,
         seed: u64,
@@ -646,65 +498,87 @@ impl<'p> TableauEngine<'p> {
         tiers.backend = BackendKind::Tableau;
         let program = self.program;
         let mut draw: Vec<TrialEvent> = Vec::with_capacity(program.noise_sites().len());
-        match &self.mode {
-            Mode::PerTrialReplay => {
-                let mut tab = TableauState::new(program.num_qubits());
-                for t in start..end {
-                    let mut rng = TrialRng::new(seed, t);
-                    let _ = program.pre_sample(&mut draw, &mut rng);
-                    tab.reset();
-                    let key = program.replay_from(&mut tab, 0, &draw, &mut rng);
-                    *counts.entry(key).or_insert(0) += 1;
-                    tiers.full_replay += 1;
+        for t in start..end {
+            let mut rng = TrialRng::new(seed, t);
+            // The error pattern is drawn first, as on the dense engine, so
+            // both engines agree on which trials are error-free.
+            let first_error = program.pre_sample(&mut draw, &mut rng);
+            let mut key = self.base_key;
+            for &d in &self.directions {
+                if rng.gen_bool(0.5) {
+                    key ^= d;
                 }
             }
-            Mode::Fast {
-                mids,
-                terminal,
-                masks,
-            } => {
-                for t in start..end {
-                    let mut rng = TrialRng::new(seed, t);
-                    let key = match program.pre_sample(&mut draw, &mut rng) {
-                        None => {
-                            tiers.error_free += 1;
-                            self.error_free_trial(mids, terminal.as_ref(), &mut rng)
-                        }
-                        Some(s) => {
-                            tiers.pauli_prop += 1;
-                            let delta = error_delta(s as usize, &draw, masks);
-                            self.error_free_trial(mids, terminal.as_ref(), &mut rng) ^ delta
-                        }
-                    };
-                    *counts.entry(key).or_insert(0) += 1;
+            for &(clbit, p_flip) in &self.flips {
+                if rng.gen_bool(p_flip) {
+                    key ^= 1u128 << clbit;
                 }
             }
+            match first_error {
+                None => tiers.error_free += 1,
+                Some(s) => {
+                    tiers.pauli_prop += 1;
+                    key ^= error_delta(s as usize, &draw, &self.masks);
+                }
+            }
+            *counts.entry(key).or_insert(0) += 1;
         }
     }
+}
 
-    /// An error-free trial: precomputed mid-measure outcomes (plus their
-    /// readout-flip draws, in op order) and one affine terminal sample.
-    fn error_free_trial<R: Rng + ?Sized>(
-        &self,
-        mids: &[MidMeasure],
-        terminal: Option<&TerminalAffine>,
-        rng: &mut R,
-    ) -> u128 {
-        let mut clbits = 0u128;
-        for m in mids {
-            let mut bit = m.outcome;
-            if m.p_flip > 0.0 && rng.gen_bool(m.p_flip) {
-                bit = !bit;
+/// Draws the reference sample (module docs): one ideal tableau pass that
+/// measures every mid-circuit and terminal measurement with a fixed RNG.
+/// Any fixed stream will do, since every outcome it can draw lies in the
+/// support. Returns the sample's clbit key and the `(clbit, p_flip)`
+/// readout-flip gates of the recording measurements, in program order.
+fn reference_sample(program: &TrialProgram) -> (u128, Vec<(u8, f64)>) {
+    let mut tab = TableauState::new(program.num_qubits());
+    let mut rng = TrialRng::new(0, 0);
+    let mut key = 0u128;
+    let mut flips = Vec::new();
+    for (i, op) in program.ops().iter().enumerate() {
+        match *op {
+            TrialOp::Unitary { qubit, .. } => {
+                let action = program
+                    .clifford_action(i)
+                    .expect("tableau programs are fully Clifford");
+                tab.apply_clifford1q(qubit, &action);
             }
-            if bit {
-                clbits |= clbit_mask(m.clbit);
+            TrialOp::Cnot { control, target } => tab.apply_cnot(control, target),
+            TrialOp::Swap { a, b, .. } => tab.swap_relabel(a, b),
+            TrialOp::GateNoise { .. }
+            | TrialOp::CnotNoise { .. }
+            | TrialOp::ChannelNoise { .. }
+            | TrialOp::ChannelNoise2 { .. } => {}
+            TrialOp::KrausChannel { .. } => {
+                unreachable!("Kraus channels force the dense backend at lowering")
+            }
+            TrialOp::Measure {
+                qubit,
+                clbit,
+                p_flip,
+            } => {
+                if tab.measure(qubit, &mut rng) {
+                    key |= clbit_mask(clbit);
+                }
+                if p_flip > 0.0 {
+                    let clbit = clbit.expect("an overwritten measurement draws no readout flip");
+                    flips.push((clbit, p_flip));
+                }
+            }
+            TrialOp::TerminalSample { ref measures } => {
+                for &(qubit, clbit, p_flip) in measures {
+                    if tab.measure(qubit, &mut rng) {
+                        key |= 1u128 << clbit;
+                    }
+                    if p_flip > 0.0 {
+                        flips.push((clbit, p_flip));
+                    }
+                }
             }
         }
-        if let Some(t) = terminal {
-            clbits |= sample_affine(t, rng);
-        }
-        clbits
     }
+    (key, flips)
 }
 
 /// The key perturbation of one error draw: XOR of the fired Pauli
@@ -748,27 +622,32 @@ fn error_delta(first_site: usize, events: &[TrialEvent], masks: &[SiteMask]) -> 
 
 /// Tabulates every noise site's [`SiteMask`] with one backward pass over
 /// the ops, maintaining per wire the final-key image of an `X` / `Z`
-/// inserted at the current program point (module docs, "error trials").
-fn build_site_masks(program: &TrialProgram, terminal: Option<&TerminalAffine>) -> Vec<SiteMask> {
+/// inserted at the current program point (module docs). Also returns the
+/// key images of the random `Z` frame: a `Z` on the measured wire just
+/// after each mid-circuit measurement, and on every wire at program start.
+fn build_site_masks(program: &TrialProgram) -> (Vec<SiteMask>, Vec<u128>) {
     let n = program.num_qubits();
     let mut mask_x = vec![0u128; n];
     let mut mask_z = vec![0u128; n];
     let mut masks = vec![SiteMask::default(); program.noise_sites().len()];
+    let mut frame = Vec::new();
     let mut site = masks.len();
     for (i, op) in program.ops().iter().enumerate().rev() {
         match *op {
-            TrialOp::TerminalSample { .. } => {
-                let t = terminal.expect("terminal plan built from the terminal op");
-                // An X on wire `q` translates the support, flipping the
-                // sampled bit on q's (deduplicated) clbit; a Z is phase.
-                for &(q, c) in &t.bit_map {
+            TrialOp::TerminalSample { ref measures } => {
+                // An X on a measured wire flips that entry's clbit; a Z is
+                // phase.
+                for &(q, c, _) in measures {
                     mask_x[usize::from(q)] ^= 1u128 << c;
                 }
             }
             TrialOp::Measure { qubit, clbit, .. } => {
-                // An X crossing the measurement flips its clbit and
-                // persists onto the post-measure state; a Z dies there.
+                // Just after the measurement the wire is in a Z eigenstate,
+                // so a Z there is a frame insertion. An X crossing the
+                // measurement flips its clbit and persists onto the
+                // post-measure state; a Z before it dies.
                 let q = usize::from(qubit);
+                frame.push(mask_z[q]);
                 mask_x[q] ^= clbit_mask(clbit);
                 mask_z[q] = 0;
             }
@@ -841,144 +720,17 @@ fn build_site_masks(program: &TrialProgram, terminal: Option<&TerminalAffine>) -
         }
     }
     debug_assert_eq!(site, 0, "every noise site visited");
-    masks
+    // Every wire starts in |0⟩, a Z eigenstate.
+    frame.extend_from_slice(&mask_z);
+    (masks, frame)
 }
 
-/// Draws one terminal outcome key: `base ⊕ (random subset of the
-/// direction basis)`, then the readout-flip gates in program order.
-fn sample_affine<R: Rng + ?Sized>(t: &TerminalAffine, rng: &mut R) -> u128 {
-    let mut key = t.base_key;
-    for &d in &t.directions {
-        if rng.gen_bool(0.5) {
-            key ^= d;
-        }
-    }
-    for &(clbit, p_flip) in &t.flips {
-        if rng.gen_bool(p_flip) {
-            key ^= 1u128 << clbit;
-        }
-    }
-    key
-}
-
-/// Projects a program-qubit-space bit mask onto the clbit key through a
-/// deduplicated `(qubit, clbit)` map.
-fn project(mask: &[u64; ROW_WORDS], bit_map: &[(u8, u8)]) -> u128 {
-    let mut key = 0u128;
-    for &(q, c) in bit_map {
-        if wide_get(mask, q) {
-            key ^= 1u128 << c;
-        }
-    }
-    key
-}
-
-/// Reduces the terminal state to the affine sampler (module docs). Returns
-/// `None` when the clbit map aliases two qubits onto one bit — the XOR
-/// projection would be unsound, so the engine falls back to per-trial
-/// replay.
-fn build_affine(
-    tab: &TableauState,
-    measures: &[(u8, u8, f64)],
-    n: usize,
-) -> Option<TerminalAffine> {
-    // Deduplicate the measure map: a re-measured wire contributes one
-    // projection term (XOR of a duplicate would cancel it), and two
-    // *different* wires feeding one clbit break linearity entirely.
-    let mut owner = [u8::MAX; 128];
-    let mut bit_map: Vec<(u8, u8)> = Vec::with_capacity(measures.len());
-    for &(q, c, _) in measures {
-        let slot = &mut owner[usize::from(c)];
-        if *slot == u8::MAX {
-            *slot = q;
-            bit_map.push((q, c));
-        } else if *slot != q {
-            return None;
-        }
-    }
-
-    // Extract the stabilizer generators into row-major, program-qubit-
-    // indexed form (undoing the relabeling permutation).
-    let mut rows: Vec<AffineRow> = (n..2 * n)
-        .map(|r| {
-            let mut row = AffineRow {
-                r: tab.get_phase(r),
-                ..AffineRow::default()
-            };
-            for q in 0..n {
-                let c = tab.col(q as u8);
-                if tab.get_x(c, r) {
-                    wide_toggle(&mut row.x, q as u8);
-                }
-                if tab.get_z(c, r) {
-                    wide_toggle(&mut row.z, q as u8);
-                }
-            }
-            row
-        })
-        .collect();
-
-    // Gaussian elimination on the X-parts: pivot rows become the support
-    // directions, the rest degenerate to pure-Z parity constraints.
-    let mut pivot_rows = 0usize;
-    for q in 0..n {
-        let q8 = q as u8;
-        let Some(j) = (pivot_rows..rows.len()).find(|&j| wide_get(&rows[j].x, q8)) else {
-            continue;
-        };
-        rows.swap(pivot_rows, j);
-        let pivot = rows[pivot_rows];
-        for (k, row) in rows.iter_mut().enumerate() {
-            if k != pivot_rows && wide_get(&row.x, q8) {
-                row.mul_by(&pivot);
-            }
-        }
-        pivot_rows += 1;
-    }
-
-    // Solve the pure-Z constraints `v · s = r` for a base support point,
-    // free bits at zero. Run the RREF to completion *before* reading any
-    // phase: a row's `r` keeps changing while later pivot columns are being
-    // eliminated from it.
-    let constraints = &mut rows[pivot_rows..];
-    let mut pivot_col = vec![u8::MAX; constraints.len()];
-    let mut crow = 0usize;
-    for q in 0..n {
-        let q8 = q as u8;
-        let Some(j) = (crow..constraints.len()).find(|&j| wide_get(&constraints[j].z, q8)) else {
-            continue;
-        };
-        constraints.swap(crow, j);
-        let pivot_z = constraints[crow].z;
-        let pivot_r = constraints[crow].r;
-        for (k, row) in constraints.iter_mut().enumerate() {
-            if k != crow && wide_get(&row.z, q8) {
-                for (zw, &pw) in row.z.iter_mut().zip(pivot_z.iter()) {
-                    *zw ^= pw;
-                }
-                row.r ^= pivot_r;
-            }
-        }
-        pivot_col[crow] = q8;
-        crow += 1;
-    }
-    let mut s0 = [0u64; ROW_WORDS];
-    for (j, row) in constraints[..crow].iter().enumerate() {
-        if row.r {
-            wide_toggle(&mut s0, pivot_col[j]);
-        }
-    }
-    debug_assert!(
-        constraints[crow..].iter().all(|row| !row.r),
-        "inconsistent stabilizer constraints"
-    );
-
-    // Project the directions onto clbit space and reduce them to an
-    // independent GF(2) basis (uniform over the span is preserved for any
-    // generating set, so coin-per-basis-vector sampling stays uniform).
+/// Reduces clbit-key vectors to a GF(2) basis of their span (zero vectors
+/// drop out). One coin per basis vector is uniform over the span, as a
+/// uniformly random subset of the original vectors is.
+fn gf2_basis(vectors: Vec<u128>) -> Vec<u128> {
     let mut slots = [0u128; 128];
-    for row in &rows[..pivot_rows] {
-        let mut d = project(&row.x, &bit_map);
+    for mut d in vectors {
         while d != 0 {
             let lead = 127 - d.leading_zeros() as usize;
             if slots[lead] == 0 {
@@ -988,20 +740,7 @@ fn build_affine(
             d ^= slots[lead];
         }
     }
-    let directions: Vec<u128> = slots.iter().copied().filter(|&m| m != 0).collect();
-
-    let flips = measures
-        .iter()
-        .filter(|&&(_, _, p_flip)| p_flip > 0.0)
-        .map(|&(_, clbit, p_flip)| (clbit, p_flip))
-        .collect();
-
-    Some(TerminalAffine {
-        base_key: project(&s0, &bit_map),
-        directions,
-        bit_map,
-        flips,
-    })
+    slots.into_iter().filter(|&d| d != 0).collect()
 }
 
 #[cfg(test)]

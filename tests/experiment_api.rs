@@ -266,13 +266,19 @@ fn run_reports_a_degenerate_topology_as_a_typed_error() {
     ));
 }
 
+/// Cells of [`compile_bound_plan`]: one per calibration day.
+const COMPILE_BOUND_CELLS: usize = 48;
+
 /// A plan whose compiles dominate: R-SMT* places BV8 afresh for every
-/// calibration day, about 25 ms per cell on a release build.
+/// calibration day, about 25 ms per cell on a release build. On the 4
+/// threads of [`run_until`] the compiles need at least 48 / 4 × 25 ms =
+/// 300 ms, five times the 60 ms deadline, so a deadline lands mid-compile
+/// however many cores the host has free.
 fn compile_bound_plan(trials: u32) -> SweepPlan {
     SweepPlan::new()
         .benchmark(Benchmark::Bv8)
         .config("R-SMT*", CompilerConfig::r_smt_star(0.5))
-        .days(0..12)
+        .days(0..COMPILE_BOUND_CELLS)
         .with_trials(trials)
 }
 
@@ -289,7 +295,10 @@ fn a_deadline_mid_compile_keeps_every_compiled_cell_of_a_compile_only_plan() {
     let outcome = run_until(&compile_bound_plan(0), Duration::from_millis(60));
     assert!(!outcome.completed);
     let reported = outcome.report.cells.len();
-    assert!((1..12).contains(&reported), "{reported}/12");
+    assert!(
+        (1..COMPILE_BOUND_CELLS).contains(&reported),
+        "{reported}/{COMPILE_BOUND_CELLS}"
+    );
     assert_eq!(outcome.report.cache.compile_requests, reported as u64);
 }
 
@@ -299,7 +308,10 @@ fn a_deadline_mid_compile_still_finishes_the_first_simulated_cell() {
     let outcome = run_until(&plan, Duration::from_millis(60));
     assert!(!outcome.completed);
     let reported = outcome.report.cells.len();
-    assert!((1..12).contains(&reported), "{reported}/12");
+    assert!(
+        (1..COMPILE_BOUND_CELLS).contains(&reported),
+        "{reported}/{COMPILE_BOUND_CELLS}"
+    );
     assert!(outcome.report.cells[0].success_rate.is_some());
     let reference = Session::new().run(&plan).unwrap();
     assert_eq!(

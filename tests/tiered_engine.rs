@@ -399,6 +399,122 @@ fn aliased_mid_measure_clbits_agree_across_backends() {
     );
 }
 
+/// A GHZ ladder as the wide benchmarks build it: H on qubit 0, a CNOT
+/// chain, then `measure_all`.
+fn ghz_ladder(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.h(Qubit(0));
+    for q in 1..n {
+        c.cnot(Qubit(q - 1), Qubit(q));
+    }
+    c.measure_all();
+    c
+}
+
+/// Whether `program` measures anything before its final op — a
+/// mid-circuit measurement that did not sink into the terminal sample.
+fn has_mid_measure(program: &TrialProgram) -> bool {
+    let ops = program.ops();
+    ops[..ops.len() - 1]
+        .iter()
+        .any(|op| matches!(op, TrialOp::Measure { .. }))
+}
+
+#[test]
+fn random_mid_measures_are_frame_sampled_and_match_dense_exact() {
+    // Routing GHZ10 onto a 4x3 grid measures finished qubits early, and
+    // later SWAPs pass through their wires, so those measurements stay
+    // mid-circuit. Their outcomes are random (each copies the GHZ coin),
+    // which the tableau engine must absorb without replaying trials.
+    let m = Machine::from_spec(TopologySpec::Grid { mx: 4, my: 3 }, 42, 1);
+    let compiled = Compiler::new(&m, CompilerConfig::greedy_e())
+        .compile(&ghz_ladder(10))
+        .unwrap();
+    let program = TrialProgram::lower(compiled.physical_circuit(), &m, &NoiseModel::full());
+    assert!(has_mid_measure(&program), "ops: {:?}", program.ops());
+
+    // Tolerance: under full noise the outcomes spread over ~870 keys, so
+    // the empirical TV of two independent runs sits at a sampling floor.
+    // At 2^16 trials two dense-exact runs at different seeds measured TV
+    // 0.033–0.035, and the tableau against dense-exact 0.031–0.038 over
+    // six seeds. 0.05 leaves headroom over that floor; freezing the random
+    // mid-measures to one outcome would move half the mass (TV ≈ 0.5).
+    let trials = 1u32 << 16;
+    let (fast, fast_tiers) =
+        engine_counts_with(&m, &program, 5, trials, 4, EngineOptions::default());
+    let (exact, _) = engine_counts_with(&m, &program, 5, trials, 4, EngineOptions::exact());
+    assert_eq!(fast_tiers.backend, nisq_sim::BackendKind::Tableau);
+    assert_eq!(fast_tiers.full_replay, 0, "{fast_tiers:?}");
+    assert_eq!(fast_tiers.total(), u64::from(trials));
+    let tv = total_variation(&fast, &exact, trials);
+    assert!(
+        tv < 0.05,
+        "GHZ10 random mid-measures: TV {tv} exceeds the documented bound"
+    );
+}
+
+#[test]
+fn a_remeasured_wire_after_a_basis_change_takes_both_outcomes() {
+    // H; measure; H; measure on one wire: both outcomes are fair coins,
+    // independent of each other. The second coin comes only from the Z
+    // inserted just after the first measurement (a Z at program start
+    // reaches the first outcome alone), so all four keys must appear.
+    let mut c = Circuit::with_clbits(1, 2);
+    c.h(Qubit(0));
+    c.measure(Qubit(0), nisq_ir::Clbit(0));
+    c.h(Qubit(0));
+    c.measure(Qubit(0), nisq_ir::Clbit(1));
+    let m = machine();
+    let program = TrialProgram::lower(&c, &m, &NoiseModel::ideal());
+    let trials = 4096u32;
+    let (counts, tiers) = engine_counts(&m, &program, 3, trials, 2);
+    assert_eq!(tiers.backend, nisq_sim::BackendKind::Tableau);
+    assert_eq!(counts.len(), 4, "{counts:?}");
+    // Each key has probability 1/4: 1024 of 4096 trials, SD 28. The
+    // window is ±5 SD.
+    assert!(
+        counts.values().all(|&n| (884..=1164).contains(&n)),
+        "{counts:?}"
+    );
+}
+
+#[test]
+fn wide_clifford_entries_compute_their_ideal_outcomes_exactly() {
+    // The wide entries run only on the tableau backend, so no dense
+    // reference exists for them. Noise-free, their ideal outcome sets are
+    // known exactly instead.
+    let ideal = |machine: &Machine, circuit: &Circuit| {
+        let compiled = Compiler::new(machine, CompilerConfig::greedy_e())
+            .compile(circuit)
+            .unwrap();
+        let sim = Simulator::new(machine, SimulatorConfig::ideal(256));
+        let program = sim.prepare(compiled.physical_circuit());
+        let (result, tiers) = sim.run_program_with_stats(&program);
+        assert_eq!(tiers.backend, nisq_sim::BackendKind::Tableau);
+        (program, result)
+    };
+
+    // GHZ48 on a 7x7 grid keeps routed mid-circuit measurements: every
+    // outcome is all-0 or all-1, and both appear.
+    let grid7 = Machine::from_spec(TopologySpec::Grid { mx: 7, my: 7 }, 2019, 0);
+    let (program, result) = ideal(&grid7, &ghz_ladder(48));
+    assert!(has_mid_measure(&program), "GHZ48 measures nothing early");
+    let keys: Vec<&Vec<bool>> = result.counts().keys().collect();
+    assert_eq!(keys.len(), 2, "{keys:?}");
+    assert!(keys.iter().any(|k| k.iter().all(|&b| !b)));
+    assert!(keys.iter().any(|k| k.iter().all(|&b| b)));
+
+    // BV127 on a 12x11 grid: exactly one key, the hidden string (and the
+    // ancilla's 1).
+    let hidden: Vec<bool> = (0..127).map(|i| i % 3 != 1).collect();
+    let grid12 = Machine::from_spec(TopologySpec::Grid { mx: 12, my: 11 }, 2019, 0);
+    let (_, result) = ideal(&grid12, &nisq_ir::bernstein_vazirani(&hidden));
+    let mut expected = hidden;
+    expected.push(true);
+    assert_eq!(result.distinct_outcomes(), 1, "{:?}", result.counts());
+    assert_eq!(result.probability_of(&expected), 1.0);
+}
+
 /// An interleaved-draw replayer with no fusion, no relabeling, no
 /// pre-sampling and no measurement sinking: every gate and error is applied
 /// directly through the public [`StateVector`] API, drawing stochastic
