@@ -12,6 +12,11 @@
 //!   the same outcome distribution as the numeric reference: total
 //!   variation between the two engines' empirical distributions stays
 //!   within the documented sampling bound at fixed seeds;
+//! * **frame sampling** — random mid-circuit measurements stay on the
+//!   tableau backend (no replayed trial) and match dense-exact within a
+//!   documented TV bound; noise-free wide Clifford entries give exactly
+//!   their ideal outcome sets; aliased clbit writes resolve to the last
+//!   write on every backend;
 //! * **statistical equivalence of the engine as a whole** — success rates
 //!   agree (within sampling tolerance) with a fully independent
 //!   interleaved-draw replayer built on the public state-vector API;
